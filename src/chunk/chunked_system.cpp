@@ -242,16 +242,6 @@ void ChunkedSystem::set_parallel_policy(const ParallelPolicy& policy) {
   if (scratch_.shards.size() < width) scratch_.shards.resize(width);
 }
 
-ThreadPool* ChunkedSystem::phase_pool(std::size_t approx_cells) const {
-  ThreadPool* pool = pool_.get();
-  if (pool == nullptr || parallel_.cutover != ParallelPolicy::Cutover::kAuto)
-    return pool;
-  const std::size_t used = shard_count(approx_cells, pool->thread_count());
-  if (used <= 1) return pool;  // parallel_for_shards falls back anyway
-  const auto grain = static_cast<std::size_t>(parallel_.cutover_grain);
-  return approx_cells < grain * used ? nullptr : pool;
-}
-
 void ChunkedSystem::set_metrics(obs::MetricsRegistry* registry) {
   // Same label as the dense shared-variable engine: the exposition must
   // be byte-identical to System's (pinned by the differential suite).
@@ -398,8 +388,7 @@ void ChunkedSystem::run_route_phase() {
     }
   }
 
-  ThreadPool* pool = phase_pool(
-      order.size() * static_cast<std::size_t>(kChunkSide * kChunkSide));
+  ThreadPool* pool = pool_.get();
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)
@@ -533,11 +522,7 @@ void ChunkedSystem::run_signal_phase() {
   // *global row-major* sweep: chunk-major traversal would permute the
   // policy's call sequence relative to the dense serial loop.
   const auto& order = store_.live_order();
-  ThreadPool* pool =
-      choose_->concurrent_safe()
-          ? phase_pool(order.size() *
-                       static_cast<std::size_t>(kChunkSide * kChunkSide))
-          : nullptr;
+  ThreadPool* pool = choose_->concurrent_safe() ? pool_.get() : nullptr;
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)
@@ -708,8 +693,7 @@ void ChunkedSystem::signal_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
 void ChunkedSystem::run_move_phase() {
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
   const auto& order = store_.live_order();
-  ThreadPool* pool = phase_pool(
-      order.size() * static_cast<std::size_t>(kChunkSide * kChunkSide));
+  ThreadPool* pool = pool_.get();
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)

@@ -180,8 +180,9 @@ class ChunkedSystem {
   friend struct snapshot::Access;
 
   /// Mirrors System's ShardScratch (DESIGN.md §10): one slot per shard,
-  /// merged in ascending shard order at the barriers.
-  struct ShardScratch {
+  /// merged in ascending shard order at the barriers, each slot on its
+  /// own cache line.
+  struct alignas(64) ShardScratch {
     std::vector<CellId> blocked;
     std::vector<CellId> moved;
     std::vector<PendingTransfer> pending;
@@ -271,14 +272,6 @@ class ChunkedSystem {
   void park_sweep();
 
   [[nodiscard]] bool injection_is_safe(CellId id, Vec2 center) const;
-
-  /// The pool a phase should use, honoring ParallelPolicy's kAuto serial
-  /// cutover: nullptr when the phase's approximate cell workload would
-  /// hand each shard less than cutover_grain cells (the dispatch and
-  /// barrier would then dominate). Bit-identity is unaffected — both
-  /// engines produce identical results (DESIGN.md §6), the cutover only
-  /// picks which one runs.
-  [[nodiscard]] ThreadPool* phase_pool(std::size_t approx_cells) const;
 
   SystemConfig config_;
   Grid grid_;

@@ -1,16 +1,17 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/move.hpp"
 #include "core/route.hpp"
-#include "core/route_kernel.hpp"
 #include "core/signal.hpp"
 #include "obs/engine_telemetry.hpp"
 #include "obs/profiler.hpp"
@@ -34,18 +35,18 @@ std::uint64_t span_ns(obs::PhaseProfiler::Clock::time_point a,
 ParallelPolicy parallel_policy_from_env() {
   const char* raw = std::getenv("CELLFLOW_THREADS");
   if (raw == nullptr || *raw == '\0') return ParallelPolicy::serial();
-  char* end = nullptr;
-  const long n = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || n < 0 || n > 1024)
+  // Full-match from_chars, like CliArgs::get_int: strtol would accept
+  // leading whitespace and a '+' sign (" 3", "+3").
+  const std::string_view text(raw);
+  int n = 0;
+  const auto res = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (res.ec != std::errc{} || res.ptr != text.data() + text.size() || n < 0 ||
+      n > 1024)
     throw std::runtime_error(
         std::string("CELLFLOW_THREADS: expected an integer in [0, 1024], "
                     "got '") +
         raw + "'");
-  // The ambient knob asks for throughput, so it gets the kAuto serial
-  // cutover; callers that need the engine pinned (differential suites)
-  // use set_parallel_policy explicitly.
-  return n == 0 ? ParallelPolicy::serial()
-                : ParallelPolicy::parallel_auto(static_cast<int>(n));
+  return n == 0 ? ParallelPolicy::serial() : ParallelPolicy::parallel(n);
 }
 
 void canonical_transfer_order(const Grid& grid,
@@ -92,7 +93,6 @@ System::System(SystemConfig config, std::unique_ptr<ChoosePolicy> choose,
   // phase loops index directly — see the member comments in system.hpp.
   nbr_idx_.resize(cells_.size());
   cell_id_.resize(cells_.size());
-  feed_.assign(cells_.size(), kNoNbr);
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     const CellId id = grid_.id_of(k);
     cell_id_[k] = id;
@@ -119,10 +119,7 @@ void System::rebuild_active_sets() {
   occ_b_.assign(cells_.size(), 0);
   occ_refs_.assign(cells_.size(), 0);
   for (std::size_t k = 0; k < cells_.size(); ++k) {
-    const std::uint64_t raw = cells_[k].dist.raw();
-    dist_snapshot_[k] = raw;
-    if (raw >= kRouteHugeDist / 2 && cells_[k].dist.is_finite())
-      huge_dist_seen_ = true;  // snapshot restore can carry corrupted raws
+    dist_snapshot_[k] = cells_[k].dist;
     if (occupied(cells_[k])) apply_occupancy_flip(k);
   }
 }
@@ -156,10 +153,7 @@ void System::note_control_mutation(std::size_t k) {
   // the active scheduler to (a) keep the snapshot invariant, (b) rerun
   // Route over the affected neighborhood next round, and (c) refresh
   // the occupancy of the mutated cell.
-  const std::uint64_t raw = cells_[k].dist.raw();
-  dist_snapshot_[k] = raw;
-  if (raw >= kRouteHugeDist / 2 && cells_[k].dist.is_finite())
-    huge_dist_seen_ = true;  // pins Route to the route_step reference path
+  dist_snapshot_[k] = cells_[k].dist;
   arm_route_neighborhood(k, round_);
   refresh_occupancy(k);
 }
@@ -339,27 +333,6 @@ void System::recover(CellId id) {
   note_control_mutation(grid_.index_of(id));
 }
 
-bool System::decide_cutover() const {
-  // kAuto: run this round serial when the previous round's widest phase
-  // would hand each shard less than the grain's worth of cells — the
-  // pooled round would then be dominated by dispatch and barriers. The
-  // inputs (SchedulerStats, grid size, policy) are engine-independent,
-  // and by §6 both engines are bit-identical, so the choice can never
-  // change results. Round 0 has no stats yet and runs as configured.
-  if (round_ == 0) return false;
-  const std::size_t used =
-      shard_count(cells_.size(), pool_->thread_count());
-  if (used <= 1) return false;
-  const std::uint64_t widest =
-      std::max({sched_stats_.route_cells, sched_stats_.signal_cells,
-                sched_stats_.move_cells});
-  double grain = static_cast<double>(parallel_.cutover_grain);
-  if (ewma_cutover_grain_ > 0.0)
-    grain = std::clamp(ewma_cutover_grain_, 64.0, 4096.0);
-  return static_cast<double>(widest) <
-         grain * static_cast<double>(used);
-}
-
 const RoundEvents& System::update() {
   events_.clear();
   events_.round = round_;
@@ -370,12 +343,6 @@ const RoundEvents& System::update() {
   const bool track = profiler_ != nullptr || telemetry_ != nullptr;
   const auto t_round = track ? ProfClock::now() : ProfClock::time_point{};
   if (telemetry_ != nullptr) round_timing_.reset();
-  // Serial cutover (ParallelPolicy::Cutover::kAuto): the round in
-  // flight uses round_pool_, which this decision may pin to nullptr.
-  const bool cutover =
-      pool_ != nullptr &&
-      parallel_.cutover == ParallelPolicy::Cutover::kAuto && decide_cutover();
-  round_pool_ = cutover ? nullptr : pool_.get();
   // `count_serial`: the phase will run entirely on the calling thread,
   // so its whole wall span — body, merges, glue — is telemetry "work"
   // (pooled phases decompose themselves via note_phase_timing instead).
@@ -384,8 +351,7 @@ const RoundEvents& System::update() {
   // yields more than one shard; Signal additionally pins serial under a
   // stateful choose policy.
   const bool pooled =
-      round_pool_ != nullptr &&
-      shard_count(cells_.size(), round_pool_->thread_count()) > 1;
+      pool_ != nullptr && shard_count(cells_.size(), pool_->thread_count()) > 1;
   const bool signal_pooled = pooled && choose_->concurrent_safe();
   // Fused-barrier orchestration (DESIGN.md §6): one run_plan dispatch
   // covers the whole round when nothing needs the per-phase barriers —
@@ -395,8 +361,7 @@ const RoundEvents& System::update() {
   // what makes the in-stage wait deadlock-free.
   const bool fused =
       pooled && !phase_hook_ && !track &&
-      cells_.size() / shard_count(cells_.size(),
-                                  round_pool_->thread_count()) >=
+      cells_.size() / shard_count(cells_.size(), pool_->thread_count()) >=
           static_cast<std::size_t>(config_.side);
   const auto timed = [this, track](const char* name, bool count_serial,
                                    auto&& phase) {
@@ -431,8 +396,7 @@ const RoundEvents& System::update() {
   if (telemetry_ != nullptr) {
     obs::RoundBreakdown b;
     b.round_ns = span_ns(t_round, t_end);
-    b.workers = round_pool_ ? round_pool_->thread_count() : 1;
-    b.cutover = cutover;
+    b.workers = pool_ ? pool_->thread_count() : 1;
     if (pool_) {
       const DispatchStats ds = pool_->dispatch_stats();
       b.pool_dispatches = ds.dispatches - last_dispatch_stats_.dispatches;
@@ -456,32 +420,6 @@ const RoundEvents& System::update() {
           static_cast<double>(round_timing_.pool_task_ns) /
           (static_cast<double>(pool_->thread_count()) *
            static_cast<double>(b.round_ns));
-    }
-    if (pooled) {
-      // Adaptive cutover grain: a pooled, telemetry-tracked round gives
-      // a live sample of "how many cells per shard would this round's
-      // overhead have paid for" — overhead_ns / (per-cell work × shard
-      // count). The EWMA smooths scheduler noise; decide_cutover clamps
-      // it before use. Timing only selects which of two bit-identical
-      // engines runs (§6), so feeding it back is determinism-safe.
-      const std::uint64_t visited = sched_stats_.route_cells +
-                                    sched_stats_.signal_cells +
-                                    sched_stats_.move_cells;
-      const std::uint64_t overhead = round_timing_.pool_dispatch_ns +
-                                     round_timing_.pool_resume_ns +
-                                     round_timing_.pool_barrier_ns;
-      if (visited > 0 && round_timing_.pool_task_ns > 0) {
-        const double cell_ns =
-            static_cast<double>(round_timing_.pool_task_ns) /
-            static_cast<double>(visited);
-        const std::size_t width =
-            shard_count(cells_.size(), pool_->thread_count());
-        const double sample = static_cast<double>(overhead) /
-                              (cell_ns * static_cast<double>(width));
-        ewma_cutover_grain_ = ewma_cutover_grain_ == 0.0
-                                  ? sample
-                                  : 0.8 * ewma_cutover_grain_ + 0.2 * sample;
-      }
     }
     telemetry_->record_round(b);
     if (profiler_ != nullptr) {
@@ -524,15 +462,14 @@ void System::run_fused_round() {
   //
   // Same span bodies, same shard ranges, same merge order as the
   // legacy path ⇒ the §6 bit-identity argument is unchanged.
-  ThreadPool* pool = round_pool_;
+  ThreadPool* pool = pool_.get();
   const std::size_t n = cells_.size();
   const std::size_t used = shard_count(n, pool->thread_count());
   const bool signal_fused = choose_->concurrent_safe();
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
 
   if (!active) {
-    for (std::size_t k = 0; k < n; ++k)
-      dist_snapshot_[k] = cells_[k].dist.raw();
+    for (std::size_t k = 0; k < n; ++k) dist_snapshot_[k] = cells_[k].dist;
   }
   const auto nshards = static_cast<std::size_t>(pool->thread_count());
   for (std::size_t s = 0; s < nshards; ++s)
@@ -615,47 +552,19 @@ void System::run_route_phase() {
   // could produce something new. Skipped live cells still tally their
   // would-be relaxations so the ProtocolCounts contract (bit-identical
   // counts across engines) holds.
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  if (!active) {
+  if (scheduler_ != RoundScheduler::kActiveSet) {
     for (std::size_t k = 0; k < cells_.size(); ++k)
-      dist_snapshot_[k] = cells_[k].dist.raw();
+      dist_snapshot_[k] = cells_[k].dist;
   }
 
-  ThreadPool* pool = round_pool_;
+  ThreadPool* pool = pool_.get();
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)
     scratch_.shards[s].begin_phase();
 
-  // Active-list sharding (DESIGN.md §6): when the armed set is sparse
-  // (under a quarter of the grid), contiguous grid shards degenerate —
-  // one shard can own the whole armed region while the rest only tally
-  // skips. Instead the calling thread pre-scans the gates into an
-  // ascending cell list, settles the skipped cells' counter obligations
-  // directly (ProtocolCounts merging is additive, so tally order cannot
-  // change the sums), and the pool shards the *list*. route_stamp_ is
-  // frozen for the phase (re-arming happens in the merge), so the
-  // pre-scan sees exactly the gates the shard bodies would have seen.
-  const std::size_t grid_used =
+  const std::size_t used =
       shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.route_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k) {
-      if (route_stamp_[k] >= round_) {
-        list.push_back(static_cast<std::uint32_t>(k));
-      } else if (metrics_ && !cells_[k].failed && k != target_k_) {
-        for (const std::uint32_t nk : nbr_idx_[k])
-          if (nk != kNoNbr) ++round_counts_.route_relaxations;
-      }
-    }
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
   const bool pooled = pool != nullptr && used > 1;
   // Per-shard spans feed the profiler and the imbalance statistic; a
   // serial phase needs neither (imbalance is 1.0 and timed() already
@@ -665,10 +574,7 @@ void System::run_route_phase() {
   const auto body = [&](std::size_t s, ShardRange r) {
     const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
                                  : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      route_list_span(s, r.begin, r.end);
-    else
-      route_span(s, r.begin, r.end);
+    route_span(s, r.begin, r.end);
     if (shard_timing) {
       const auto t1 = obs::PhaseProfiler::Clock::now();
       scratch_.shards[s].span_ns = span_ns(t0, t1);
@@ -676,7 +582,7 @@ void System::run_route_phase() {
         profiler_->record("route", round_, static_cast<int>(s), t0, t1);
     }
   };
-  parallel_for_shards(pool, domain, body);
+  parallel_for_shards(pool, cells_.size(), body);
   note_phase_timing(0, pool, used);
   // Merge is a separate telemetry component only when the phase pooled
   // (post-barrier serial section); in a serial phase it is simply part
@@ -696,46 +602,8 @@ void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
-    if (!huge_dist_seen_) {
-      // Packed-key fast path: interior cells (all four lattice neighbors
-      // present) go through the bulk kernel; boundary rows/columns, the
-      // target, and failed cells take the reference route_cell. The
-      // kernel is exact below the guard band (tests/test_route_kernel),
-      // and huge_dist_seen_ pins the whole phase to route_cell the
-      // moment any raw approaches it.
-      const auto side = static_cast<std::size_t>(config_.side);
-      std::size_t k = begin;
-      while (k < end) {
-        const std::size_t j = k / side;
-        const std::size_t i = k % side;
-        if (side < 3 || j == 0 || j + 1 == side) {
-          // Boundary row: scalar to the row's end (or the span's).
-          const std::size_t row_end = std::min(end, (j + 1) * side);
-          for (; k < row_end; ++k) route_cell(k, pc, nullptr);
-          continue;
-        }
-        if (i == 0 || i + 1 >= side) {
-          route_cell(k, pc, nullptr);
-          ++k;
-          continue;
-        }
-        // Interior segment of this row clipped to the span; break it at
-        // the target and at failed cells (route_cell handles those).
-        const std::size_t seg_end = std::min(end, j * side + side - 1);
-        while (k < seg_end) {
-          std::size_t stop = k;
-          while (stop < seg_end && stop != target_k_ && !cells_[stop].failed)
-            ++stop;
-          if (stop > k) route_run_kernel(k, stop - k, sc, pc, nullptr);
-          if (stop < seg_end) route_cell(stop, pc, nullptr);
-          k = stop < seg_end ? stop + 1 : stop;
-        }
-      }
-      sc.visited += end - begin;
-    } else {
-      for (std::size_t k = begin; k < end; ++k) route_cell(k, pc, nullptr);
-      sc.visited += end - begin;
-    }
+    for (std::size_t k = begin; k < end; ++k) route_cell(k, pc, nullptr);
+    sc.visited += end - begin;
   } else {
     for (std::size_t k = begin; k < end; ++k) {
       if (route_stamp_[k] >= round_) {
@@ -752,77 +620,6 @@ void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
         }
       }
     }
-  }
-}
-
-void System::route_list_span(std::size_t s, std::size_t begin,
-                             std::size_t end) {
-  // Every list entry passed the arming gate on the calling thread, so
-  // the body is unconditional; consecutive interior entries still form
-  // kernel runs (an armed region is usually a contiguous frontier).
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  const auto side = static_cast<std::size_t>(config_.side);
-  std::size_t i = begin;
-  while (i < end) {
-    const std::size_t k = list[i];
-    const std::size_t kj = k / side;
-    const std::size_t ki = k % side;
-    const bool interior = side >= 3 && kj >= 1 && kj + 1 < side && ki >= 1 &&
-                          ki + 1 < side;
-    if (!huge_dist_seen_ && interior && k != target_k_ && !cells_[k].failed) {
-      // Last interior index of this row is kj*side + side - 2.
-      const std::size_t row_int_end = kj * side + side - 1;
-      std::size_t run = i + 1;
-      while (run < end && list[run] == list[run - 1] + 1 &&
-             list[run] < row_int_end &&
-             list[run] != static_cast<std::uint32_t>(target_k_) &&
-             !cells_[list[run]].failed)
-        ++run;
-      route_run_kernel(k, run - i, sc, pc, &sc.changed);
-      sc.visited += run - i;
-      i = run;
-    } else {
-      route_cell(k, pc, &sc.changed);
-      ++sc.visited;
-      ++i;
-    }
-  }
-}
-
-void System::route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
-                              obs::ProtocolCounts* counts,
-                              std::vector<std::size_t>* changed_out) {
-  const auto side = static_cast<std::size_t>(config_.side);
-  if (sc.keys.size() < n) sc.keys.resize(n);
-  route_min_keys_interior(dist_snapshot_.data(), k0, n, side, sc.keys.data());
-  // Id-rank → dense-offset decode (W < S < N < E for index_of = j*side+i).
-  const std::ptrdiff_t off[4] = {-1, -static_cast<std::ptrdiff_t>(side),
-                                 static_cast<std::ptrdiff_t>(side), 1};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t k = k0 + i;
-    CellState& c = cells_[k];
-    const std::uint64_t key = sc.keys[i];
-    Dist nd = Dist::infinity();
-    OptCellId nxt = std::nullopt;
-    std::uint32_t fk = kNoNbr;
-    if (key != kRouteKeyNone) {
-      nd = Dist::from_raw((key >> 2) + 1);
-      const auto nk = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(k) + off[key & 3]);
-      nxt = cell_id_[nk];
-      fk = static_cast<std::uint32_t>(nk);
-    }
-    // Bookkeeping mirrors route_cell exactly (interior ⇒ 4 relaxations).
-    if (counts != nullptr) {
-      counts->route_relaxations += 4;
-      if (c.dist != nd) ++counts->route_dist_changes;
-    }
-    if (changed_out != nullptr && c.dist != nd) changed_out->push_back(k);
-    c.dist = nd;
-    c.next = nxt;
-    feed_[k] = (nxt.has_value() && !c.members.empty()) ? fk : kNoNbr;
   }
 }
 
@@ -846,7 +643,7 @@ void System::merge_route_results(std::size_t used) {
     // dists, so its own change does not re-arm itself.
     for (std::size_t s = 0; s < used; ++s) {
       for (const std::size_t k : scratch_.shards[s].changed) {
-        dist_snapshot_[k] = cells_[k].dist.raw();
+        dist_snapshot_[k] = cells_[k].dist;
         for (const std::uint32_t nk : nbr_idx_[k]) {
           if (nk == kNoNbr) continue;
           std::uint64_t& stamp = route_stamp_[nk];
@@ -861,12 +658,7 @@ void System::route_cell(std::size_t k, obs::ProtocolCounts* counts,
                         std::vector<std::size_t>* changed_out) {
   CellState& c = cells_[k];
   const CellId id = cell_id_[k];
-  if (c.failed) {
-    // A failed cell feeds nobody (neighbors read signal/dist as if it
-    // were absent), so the exhaustive Signal scan must see kNoNbr here.
-    feed_[k] = kNoNbr;
-    return;
-  }
+  if (c.failed) return;
   if (id == config_.target) {
     // The target anchors routing: dist pinned to 0, next to ⊥. Pinning
     // every round (rather than only at init/recover) also washes out
@@ -877,19 +669,15 @@ void System::route_cell(std::size_t k, obs::ProtocolCounts* counts,
     }
     c.dist = Dist::zero();
     c.next = std::nullopt;
-    feed_[k] = kNoNbr;  // next = ⊥: the target never feeds a neighbor
     return;
   }
 
   const std::array<std::uint32_t, 4>& nbr = nbr_idx_[k];
   NeighborDist nds[4];
-  std::uint32_t nks[4];
   std::size_t n = 0;
-  for (std::size_t d = 0; d < 4; ++d) {
-    const std::uint32_t nk = nbr[d];
+  for (const std::uint32_t nk : nbr) {
     if (nk == kNoNbr) continue;
-    nks[n] = nk;
-    nds[n++] = NeighborDist{cell_id_[nk], Dist::from_raw(dist_snapshot_[nk])};
+    nds[n++] = NeighborDist{cell_id_[nk], dist_snapshot_[nk]};
   }
   const RouteResult r = route_step(std::span<const NeighborDist>(nds, n));
   if (counts != nullptr) {
@@ -902,18 +690,6 @@ void System::route_cell(std::size_t k, obs::ProtocolCounts* counts,
   if (changed_out != nullptr && c.dist != r.dist) changed_out->push_back(k);
   c.dist = r.dist;
   c.next = r.next;
-  // Feeder snapshot for the exhaustive Signal scan (header comment on
-  // feed_): next is one of the gathered neighbors, so recover its dense
-  // index from the gather instead of re-deriving it through the grid.
-  feed_[k] = kNoNbr;
-  if (r.next.has_value() && !c.members.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (nds[i].id == *r.next) {
-        feed_[k] = nks[i];
-        break;
-      }
-    }
-  }
 }
 
 void System::run_signal_phase() {
@@ -923,45 +699,21 @@ void System::run_signal_phase() {
   // stateful choose policy (RandomChoose) must observe the serial call
   // sequence, so it pins this phase to the in-order loop; the results
   // are identical either way for concurrent-safe (pure) policies.
-  ThreadPool* pool = choose_->concurrent_safe() ? round_pool_ : nullptr;
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
+  ThreadPool* pool = choose_->concurrent_safe() ? pool_.get() : nullptr;
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)
     scratch_.shards[s].begin_phase();
 
-  // Active-list sharding, same shape as Route: occ_refs_ is frozen for
-  // the phase (flips buffer and apply at the barrier), so the calling
-  // thread's pre-scan sees exactly the gates the shard bodies would.
-  const std::size_t grid_used =
+  const std::size_t used =
       shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.signal_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k) {
-      if (occ_refs_[k] > 0) {
-        list.push_back(static_cast<std::uint32_t>(k));
-      } else if (metrics_ && !cells_[k].failed) {
-        ++round_counts_.ne_prev_sizes[0];
-      }
-    }
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
   const bool pooled = pool != nullptr && used > 1;
   const bool shard_timing =
       profiler_ != nullptr || (telemetry_ != nullptr && pooled);
   const auto body = [&](std::size_t s, ShardRange r) {
     const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
                                  : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      signal_list_span(s, r.begin, r.end);
-    else
-      signal_span(s, r.begin, r.end);
+    signal_span(s, r.begin, r.end);
     if (shard_timing) {
       const auto t1 = obs::PhaseProfiler::Clock::now();
       scratch_.shards[s].span_ns = span_ns(t0, t1);
@@ -969,7 +721,7 @@ void System::run_signal_phase() {
         profiler_->record("signal", round_, static_cast<int>(s), t0, t1);
     }
   };
-  parallel_for_shards(pool, domain, body);
+  parallel_for_shards(pool, cells_.size(), body);
   note_phase_timing(1, pool, used);
   const bool merge_timing = telemetry_ != nullptr && pooled;
   const auto merge_t0 = merge_timing
@@ -1008,19 +760,8 @@ void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
   }
 }
 
-void System::signal_list_span(std::size_t s, std::size_t begin,
-                              std::size_t end) {
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  for (std::size_t i = begin; i < end; ++i)
-    signal_cell(list[i], sc.blocked, pc, &sc.flips);
-  sc.visited_b += end - begin;
-}
-
 void System::merge_signal_results(std::size_t used) {
-  // Shards cover ascending cell ranges (or an ascending slice of the
-  // active list), so concatenating in shard order reproduces the serial
+  // Shards cover ascending cell ranges, so concatenating in shard order reproduces the serial
   // loop's blocked-event order exactly.
   sched_stats_.signal_cells = 0;
   for (std::size_t s = 0; s < used; ++s) {
@@ -1049,24 +790,12 @@ void System::signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
   in.self = id;
   in.members = c.members;
   in.token = c.token;
-  const std::array<std::uint32_t, 4>& nbr = nbr_idx_[k];
-  if (scheduler_ != RoundScheduler::kActiveSet) {
-    // Exhaustive: Route refreshed feed_ for every cell this round, so
-    // "does this neighbor feed me?" is one dense 4-byte load per
-    // direction instead of a gather over four scattered CellStates.
-    for (const std::uint32_t nk : nbr) {
-      if (nk != kNoNbr && feed_[nk] == k) in.ne_prev.push_back(cell_id_[nk]);
-    }
-  } else {
-    // Active-set: Route skips quiescent cells, so feed_ may be stale —
-    // read the neighbors directly (see the feed_ member comment).
-    for (const std::uint32_t nk : nbr) {
-      if (nk == kNoNbr) continue;
-      const CellState& nc = cells_[nk];
-      if (nc.failed) continue;  // a failed cell never communicates
-      if (nc.next == OptCellId{id} && nc.has_entities())
-        in.ne_prev.push_back(cell_id_[nk]);
-    }
+  for (const std::uint32_t nk : nbr_idx_[k]) {
+    if (nk == kNoNbr) continue;
+    const CellState& nc = cells_[nk];
+    if (nc.failed) continue;  // a failed cell never communicates
+    if (nc.next == OptCellId{id} && nc.has_entities())
+      in.ne_prev.push_back(cell_id_[nk]);
   }
   std::sort(in.ne_prev.begin(), in.ne_prev.end());
 
@@ -1102,42 +831,21 @@ void System::run_move_phase() {
   // it shards freely; delivery happens after the barrier, in canonical
   // order, because appends into a shared destination determine Members
   // order and hence downstream traces.
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  ThreadPool* pool = round_pool_;
+  ThreadPool* pool = pool_.get();
   const auto nshards =
       pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
   for (std::size_t s = 0; s < nshards; ++s)
     scratch_.shards[s].begin_phase();
 
-  // Active-list sharding, same shape as Route/Signal. occ_refs_ here
-  // already reflects this round's Signal output (flips merged at the
-  // Signal barrier) and stays frozen until the Move merge, so the
-  // pre-scan and the shard bodies agree on the gates. Skipped cells owe
-  // no tallies (an inactive cell's move_cell is a tally-free no-op).
-  const std::size_t grid_used =
+  const std::size_t used =
       shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.move_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k)
-      if (occ_refs_[k] > 0) list.push_back(static_cast<std::uint32_t>(k));
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
   const bool pooled = pool != nullptr && used > 1;
   const bool shard_timing =
       profiler_ != nullptr || (telemetry_ != nullptr && pooled);
   const auto body = [&](std::size_t s, ShardRange r) {
     const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
                                  : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      move_list_span(s, r.begin, r.end);
-    else
-      move_span(s, r.begin, r.end);
+    move_span(s, r.begin, r.end);
     if (shard_timing) {
       const auto t1 = obs::PhaseProfiler::Clock::now();
       scratch_.shards[s].span_ns = span_ns(t0, t1);
@@ -1145,7 +853,7 @@ void System::run_move_phase() {
         profiler_->record("move", round_, static_cast<int>(s), t0, t1);
     }
   };
-  parallel_for_shards(pool, domain, body);
+  parallel_for_shards(pool, cells_.size(), body);
   note_phase_timing(2, pool, used);
 
   const bool merge_timing =
@@ -1185,16 +893,6 @@ void System::move_span(std::size_t s, std::size_t begin, std::size_t end) {
       }
     }
   }
-}
-
-void System::move_list_span(std::size_t s, std::size_t begin,
-                            std::size_t end) {
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  for (std::size_t i = begin; i < end; ++i)
-    move_cell(list[i], sc.moved, sc.pending, sc.crossed, pc);
-  sc.visited += end - begin;
 }
 
 void System::merge_move_results(std::size_t used) {

@@ -93,28 +93,8 @@ struct ParallelPolicy {
     kParallel,  ///< sharded across a fixed ThreadPool of num_threads
   };
 
-  /// Whether a kParallel engine may fall back to the serial loop for
-  /// rounds whose per-shard work is too small to pay for dispatch and
-  /// barriers. kAuto decides per round from the *previous* round's
-  /// scheduler visit counts (deterministic inputs; and by the §6
-  /// bit-identity contract either engine yields the same results, so
-  /// the choice is purely a throughput knob). The pool stays alive
-  /// across cutover rounds — only the round's execution is serial.
-  enum class Cutover {
-    kNever,  ///< always run sharded (the differential-test setting)
-    kAuto,   ///< per-round serial fallback below the work threshold
-  };
-
-  /// Default per-shard visit count under which kAuto runs serial, used
-  /// until live telemetry calibrates a machine-specific threshold (see
-  /// System::set_telemetry). ~a few hundred cells covers the dispatch +
-  /// two-barrier cost of a persistent-pool round on current hardware.
-  static constexpr int kDefaultCutoverGrain = 256;
-
   Mode mode = Mode::kSerial;
   int num_threads = 1;  ///< pool size when mode == kParallel (>= 1)
-  Cutover cutover = Cutover::kNever;
-  int cutover_grain = kDefaultCutoverGrain;  ///< cells/shard floor (kAuto)
 
   [[nodiscard]] static constexpr ParallelPolicy serial() noexcept {
     return {};
@@ -123,10 +103,6 @@ struct ParallelPolicy {
       int threads) noexcept {
     return ParallelPolicy{Mode::kParallel, threads};
   }
-  [[nodiscard]] static constexpr ParallelPolicy parallel_auto(
-      int threads, int grain = kDefaultCutoverGrain) noexcept {
-    return ParallelPolicy{Mode::kParallel, threads, Cutover::kAuto, grain};
-  }
 
   friend constexpr bool operator==(const ParallelPolicy&,
                                    const ParallelPolicy&) = default;
@@ -134,12 +110,10 @@ struct ParallelPolicy {
 
 /// Policy from the CELLFLOW_THREADS environment variable — the ambient
 /// override used by every System unless set_parallel_policy() is called:
-/// unset, empty, or "0" means serial; an integer N >= 1 means
-/// parallel_auto(N) (the ambient knob is a throughput request, so it
-/// gets the serial cutover; explicit set_parallel_policy keeps full
-/// control). Anything else throws std::runtime_error (a typo should
-/// not silently run serial). Safe as an ambient knob precisely because
-/// the engines are bit-identical.
+/// unset, empty, or "0" means serial; an integer N in [1, 1024] means
+/// parallel(N). Anything else — including " 3" and "+3" — throws
+/// std::runtime_error (a typo should not silently run serial). Safe as
+/// an ambient knob precisely because the engines are bit-identical.
 [[nodiscard]] ParallelPolicy parallel_policy_from_env();
 
 /// Which cells a round visits. Both schedulers produce bit-identical
@@ -403,8 +377,6 @@ class System {
   // state; it is the one sanctioned backdoor (DESIGN.md §11).
   friend struct snapshot::Access;
 
-  struct ShardScratch;  // defined below, used by the phase-body helpers
-
   void run_route_phase();
   void run_signal_phase();
   void run_move_phase();
@@ -419,25 +391,11 @@ class System {
   // reduces to "same bodies, same merge order".
   //
   // route_span / signal_span / move_span run a contiguous cell range
-  // [begin, end) honoring the active-set gates; route_list_span and the
-  // list variants run a range of scratch_.active_list instead (the
-  // active-list sharding mode — see run_route_phase). `s` is the shard's
+  // [begin, end) honoring the active-set gates. `s` is the shard's
   // scratch slot.
   void route_span(std::size_t s, std::size_t begin, std::size_t end);
-  void route_list_span(std::size_t s, std::size_t begin, std::size_t end);
   void signal_span(std::size_t s, std::size_t begin, std::size_t end);
-  void signal_list_span(std::size_t s, std::size_t begin, std::size_t end);
   void move_span(std::size_t s, std::size_t begin, std::size_t end);
-  void move_list_span(std::size_t s, std::size_t begin, std::size_t end);
-
-  /// Bulk Route over `n` interior, live, non-target cells starting at
-  /// k0 (all four lattice neighbors exist): packs the neighbors'
-  /// snapshot raws through core/route_kernel.hpp's key argmin — the
-  /// SIMD fast path — and applies the decoded results with route_cell's
-  /// exact bookkeeping. Only called while !huge_dist_seen_.
-  void route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
-                        obs::ProtocolCounts* counts,
-                        std::vector<std::size_t>* changed_out);
 
   /// Merges the per-shard ProtocolCounts tallies of slots [0, used) into
   /// round_counts_ (no-op when no registry is attached).
@@ -460,10 +418,6 @@ class System {
   /// every shard at least `side` cells wide so the Route→Signal gate
   /// only spans adjacent shards.
   void run_fused_round();
-
-  /// kAuto cutover decision for the round about to run, from the
-  /// previous round's SchedulerStats (deterministic inputs).
-  [[nodiscard]] bool decide_cutover() const;
 
   // Per-cell bodies of the three phases, shared verbatim by the serial
   // and sharded loops (same scalar code on the same inputs ⇒ bit-equal
@@ -496,14 +450,17 @@ class System {
   // post-barrier merges walk the slots in ascending shard order — the
   // same discipline that makes the engines bit-identical also makes the
   // arena race-free. Sized by set_parallel_policy to the engine width.
-  struct ShardScratch {
+  // Each slot starts on its own cache line: the phase bodies bump
+  // `visited*` and push events per cell, and a slot sharing a line with
+  // its neighbor's vector headers would ping-pong that line between
+  // workers on every cell.
+  struct alignas(64) ShardScratch {
     std::vector<CellId> blocked;           ///< Signal: blocked-grant events
     std::vector<CellId> moved;             ///< Move: cells that moved
     std::vector<PendingTransfer> pending;  ///< Move: crossers, pre-merge
     std::vector<Entity> crossed;           ///< Move: per-cell crossing batch
     std::vector<std::size_t> changed;      ///< Route: dist-changed cells
     std::vector<std::size_t> flips;        ///< Signal: occupancy flips
-    std::vector<std::uint64_t> keys;       ///< Route: packed-key kernel out
     obs::ProtocolCounts counts;            ///< shard-private tallies
     std::uint64_t visited = 0;             ///< Route/Move: cells this shard ran
     std::uint64_t visited_b = 0;           ///< Signal's visit count (separate
@@ -523,19 +480,11 @@ class System {
       visited = 0;
       visited_b = 0;
       span_ns = 0;
-      // `keys` is a capacity-reused output buffer, never read before
-      // being written — no clear needed.
     }
   };
   struct RoundScratch {
     std::vector<ShardScratch> shards;       ///< >= 1; index = shard id
     std::vector<PendingTransfer> transfers; ///< canonical merge buffer
-    /// Active-list sharding (DESIGN.md §6/§9): when the previous round's
-    /// visit count shows a phase is sparse, the phase gates once on the
-    /// calling thread into this ascending cell-index list and shards the
-    /// *list* instead of the grid, so the parallel work splits evenly
-    /// over the cells that actually run. Rebuilt per phase.
-    std::vector<std::uint32_t> active_list;
   };
 
   // --- active-set scheduler internals (DESIGN.md §9) -------------------
@@ -592,10 +541,6 @@ class System {
 
   ParallelPolicy parallel_;
   std::unique_ptr<ThreadPool> pool_;  ///< live iff mode == kParallel
-  /// The pool the round in flight actually uses: pool_.get(), or nullptr
-  /// when a kAuto cutover pinned this round serial. Set by update(); the
-  /// phase loops read it instead of pool_.
-  ThreadPool* round_pool_ = nullptr;
   RoundScratch scratch_;              ///< see the struct comment above
 
   /// Shard gate of the fused Route+Signal stage: route_ready_[s] != 0
@@ -605,15 +550,6 @@ class System {
   std::unique_ptr<std::atomic<std::uint32_t>[]> route_ready_;
   std::size_t route_ready_cap_ = 0;
 
-  /// Sticky guard of the packed-key Route fast path: set as soon as any
-  /// cell's dist carries a raw encoding at or above kRouteHugeDist / 2
-  /// (only reachable through corrupt_control_state / snapshot restore —
-  /// checked at every external-mutation point). Once set, Route runs the
-  /// reference route_step gather forever after, because the kernel's
-  /// key packing saturates such raws. The /2 margin makes the check
-  /// sound: a sub-threshold raw would need ~2^59 rounds of +1 growth to
-  /// reach the kernel's guard band.
-  bool huge_dist_seen_ = false;
   std::size_t target_k_ = 0;  ///< grid_.index_of(config_.target), cached
 
   // Observability attachments; all optional, all non-owning.
@@ -662,25 +598,16 @@ class System {
   RoundTiming round_timing_;
   std::vector<ThreadPool::BatchWorkerSample> batch_samples_;  ///< scratch
 
-  /// Telemetry-calibrated kAuto threshold: EWMA of "per-shard visit
-  /// count at which a round's pooled overhead (dispatch + barriers)
-  /// equals its pooled work", updated after each pooled, telemetry-
-  /// tracked round. 0 until the first sample; then it overrides the
-  /// policy's static cutover_grain. Timing-derived, so it only ever
-  /// selects *which* of two bit-identical engines runs (§6).
-  double ewma_cutover_grain_ = 0.0;
   /// Last dispatch_stats() reading, for per-round deltas in telemetry.
   DispatchStats last_dispatch_stats_;
 
   // Scratch buffers reused across rounds to avoid per-round allocation.
   // Under kActiveSet, dist_snapshot_ is not a scratch buffer but an
-  // invariant: dist_snapshot_[k] == cells_[k].dist.raw() at every round
+  // invariant: dist_snapshot_[k] == cells_[k].dist at every round
   // boundary (maintained incrementally by the post-Route merge and by
   // note_control_mutation); under kExhaustive it is recopied each round.
-  // Stored as raw encodings (Dist::raw / Dist::from_raw — order-
-  // preserving, ∞ = UINT64_MAX) so the Route fast path can feed whole
-  // rows straight into core/route_kernel.hpp without a conversion pass.
-  std::vector<std::uint64_t> dist_snapshot_;
+  // 8 bytes per cell, so Route's four-neighbor gather reads dense lines.
+  std::vector<Dist> dist_snapshot_;
 
   // --- cache-tight topology tables (DESIGN.md §10) ---------------------
   //
@@ -698,19 +625,6 @@ class System {
   std::vector<std::array<std::uint32_t, 4>> nbr_idx_;
   /// cell_id_[k] == grid_.id_of(k), cached (avoids a div/mod per access).
   std::vector<CellId> cell_id_;
-
-  /// Signal feeder snapshot: feed_[k] is the dense index of the cell that
-  /// k *feeds* this round — i.e. index_of(next_k) iff k is live, nonempty
-  /// and next_k ≠ ⊥ — else kNoNbr. Written by route_cell (the inputs —
-  /// next is Route's own output; members/failed cannot change between
-  /// Route and Signal) so the exhaustive Signal scan tests
-  /// `feed_[nbr] == k` against one dense 4-byte-per-cell array instead of
-  /// gathering failed/next/members from four scattered CellStates. Only
-  /// kExhaustive reads it: under kActiveSet, Route skips quiescent cells,
-  /// whose feed entry would go stale when Move empties or fills them, so
-  /// the active engine keeps the direct CellState reads (equivalence
-  /// pinned by the differential suites and the bench digest checks).
-  std::vector<std::uint32_t> feed_;
 
   // Active-set scheduler state (kActiveSet; rebuilt on switch). All
   // three vectors are read-only during the sharded phase loops and

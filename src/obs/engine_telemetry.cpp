@@ -66,10 +66,6 @@ EngineTelemetry::EngineTelemetry(MetricsRegistry& registry,
       "cellflow_engine_serial_fraction",
       "Amdahl estimate over the run: 1 - wall-equivalent work / round wall",
       realization_only);
-  cutover_rounds_ = &registry.counter(
-      "cellflow_engine_cutover_rounds_total",
-      "Rounds the kAuto cutover pinned to the serial engine",
-      realization_only);
   pool_dispatches_ = &registry.counter(
       "cellflow_engine_pool_dispatches_total",
       "Persistent-pool batches published (run/run_plan dispatches)",
@@ -95,7 +91,6 @@ void EngineTelemetry::record_round(const RoundBreakdown& b) {
   totals_.imbalance_route_sum += b.imbalance_route;
   totals_.imbalance_signal_sum += b.imbalance_signal;
   totals_.imbalance_move_sum += b.imbalance_move;
-  totals_.rounds_cutover += b.cutover ? 1 : 0;
   totals_.dispatches += b.pool_dispatches;
   totals_.spin_wakes += b.pool_spin_wakes;
   totals_.park_wakes += b.pool_park_wakes;
@@ -111,7 +106,6 @@ void EngineTelemetry::record_round(const RoundBreakdown& b) {
   workers_->set(static_cast<double>(b.workers));
   parallel_fraction_->set(b.parallel_work_fraction);
   serial_fraction_->set(totals_.serial_fraction());
-  if (b.cutover) cutover_rounds_->inc(1);
   if (b.pool_dispatches > 0) pool_dispatches_->inc(b.pool_dispatches);
   if (b.pool_spin_wakes > 0) spin_wakes_->inc(b.pool_spin_wakes);
   if (b.pool_park_wakes > 0) park_wakes_->inc(b.pool_park_wakes);

@@ -49,11 +49,10 @@ struct RoundBreakdown {
   double imbalance_move = 1.0;
   double parallel_work_fraction = 0.0;  ///< pooled work ÷ (width · round)
   int workers = 1;                      ///< engine width this round
-  bool cutover = false;  ///< kAuto pinned this round to the serial engine
   /// Persistent-pool dispatch counters, as per-round deltas of the
   /// pool's cumulative DispatchStats: batches published, and how each
   /// executor wait resolved (observed the epoch while spinning vs.
-  /// parked on the condvar). A cutover round reports all three as 0.
+  /// parked on the condvar). A serial round reports all three as 0.
   std::uint64_t pool_dispatches = 0;
   std::uint64_t pool_spin_wakes = 0;
   std::uint64_t pool_park_wakes = 0;
@@ -90,10 +89,9 @@ class EngineTelemetry {
     double imbalance_route_sum = 0.0;   ///< Σ per-round imbalance (÷ rounds
     double imbalance_signal_sum = 0.0;  ///<  for the mean)
     double imbalance_move_sum = 0.0;
-    std::uint64_t rounds_cutover = 0;  ///< rounds the kAuto cutover ran serial
-    std::uint64_t dispatches = 0;      ///< pool batches published
-    std::uint64_t spin_wakes = 0;      ///< executor waits resolved spinning
-    std::uint64_t park_wakes = 0;      ///< executor waits that parked
+    std::uint64_t dispatches = 0;  ///< pool batches published
+    std::uint64_t spin_wakes = 0;  ///< executor waits resolved spinning
+    std::uint64_t park_wakes = 0;  ///< executor waits that parked
 
     [[nodiscard]] std::uint64_t accounted_ns() const noexcept {
       return work_ns + barrier_wait_ns + dispatch_ns + merge_ns;
@@ -130,7 +128,6 @@ class EngineTelemetry {
   Gauge* workers_;
   Gauge* parallel_fraction_;
   Gauge* serial_fraction_;
-  Counter* cutover_rounds_;
   Counter* pool_dispatches_;
   Counter* spin_wakes_;
   Counter* park_wakes_;

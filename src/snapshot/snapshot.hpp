@@ -21,11 +21,10 @@
 //
 // What is deliberately NOT serialized (derived or per-round scratch):
 // System's active-set scheduler structures (re-derived by
-// rebuild_active_sets(), valid at any round boundary), the feed_ table
-// (rewritten by Route each round), RoundEvents, and the MessageSystem's
-// per-round heard_* views and inboxes (cleared before every use). The
-// NetworkModel's exchange queue is empty at round boundaries — snapshots
-// are boundary-only by construction.
+// rebuild_active_sets(), valid at any round boundary), RoundEvents, and
+// the MessageSystem's per-round heard_* views and inboxes (cleared before
+// every use). The NetworkModel's exchange queue is empty at round
+// boundaries — snapshots are boundary-only by construction.
 #pragma once
 
 #include <cstdint>

@@ -80,9 +80,7 @@ struct ShardRange {
 /// batch the executor participated in since construction / the last
 /// reset_timings(). Timings are observational only — they are outside
 /// the determinism contract (DESIGN.md §6/§7) and never influence which
-/// shard runs where (the serial cutover consumes *round-level* timing
-/// via core/system.hpp, and by §6 both engines are bit-identical, so
-/// even that choice cannot change results).
+/// shard runs where.
 /// For every executor that ran >= 1 task in a batch,
 /// dispatch_ns + busy_ns + barrier_wait_ns partitions the batch's
 /// dispatch -> batch-done wall span exactly; busy_ns >= work_ns, the

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -301,8 +303,14 @@ TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
         if (rng.bernoulli(0.3)) return std::nullopt;
         return CellId{u(side), u(side)};
       };
-      const Dist dist =
-          rng.bernoulli(0.3) ? Dist::infinity() : Dist::finite(rng.below(50));
+      // Near-maximum finite dists exercise Route's saturating +1 and the
+      // top of the ordering on every engine.
+      const std::array<Dist, 3> huge = {Dist::finite(1ull << 59),
+                                        Dist::finite(1ull << 63),
+                                        Dist::finite(UINT64_MAX - 1)};
+      const Dist dist = rng.bernoulli(0.3)   ? Dist::infinity()
+                        : rng.bernoulli(0.2) ? huge[rng.below(3)]
+                                             : Dist::finite(rng.below(50));
       const OptCellId next = random_id();
       const OptCellId token = random_id();
       const OptCellId signal = random_id();
@@ -498,17 +506,15 @@ TEST(ParallelPolicyEnv, ParsesValidValuesAndRejectsGarbage) {
   const std::string saved = old != nullptr ? old : "";
   const bool had = old != nullptr;
 
-  // The ambient knob opts into the kAuto serial cutover (a throughput
-  // default); explicit set_parallel_policy callers still get kNever.
   ASSERT_EQ(setenv("CELLFLOW_THREADS", "3", 1), 0);
-  EXPECT_EQ(parallel_policy_from_env(), ParallelPolicy::parallel_auto(3));
+  EXPECT_EQ(parallel_policy_from_env(), ParallelPolicy::parallel(3));
   ASSERT_EQ(setenv("CELLFLOW_THREADS", "0", 1), 0);
   EXPECT_EQ(parallel_policy_from_env(), ParallelPolicy::serial());
   ASSERT_EQ(setenv("CELLFLOW_THREADS", "", 1), 0);
   EXPECT_EQ(parallel_policy_from_env(), ParallelPolicy::serial());
   ASSERT_EQ(unsetenv("CELLFLOW_THREADS"), 0);
   EXPECT_EQ(parallel_policy_from_env(), ParallelPolicy::serial());
-  for (const char* bad : {"banana", "-2", "3x", "1000000"}) {
+  for (const char* bad : {"banana", "-2", "3x", "1000000", " 3", "+3"}) {
     ASSERT_EQ(setenv("CELLFLOW_THREADS", bad, 1), 0);
     EXPECT_THROW(static_cast<void>(parallel_policy_from_env()),
                  std::runtime_error)
