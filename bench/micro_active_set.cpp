@@ -204,10 +204,11 @@ int main(int argc, char** argv) {
   bool digests_agree = true;
 
   for (const bool sparse : {true, false}) {
-    for (const int side : {20, 50, 100}) {
+    for (const int side : {20, 50, 100, 200, 400}) {
       if (side > max_side) continue;
       // A dense 100×100 run is the scaling bench's job; here 50 suffices
-      // for the zero-regression check.
+      // for the zero-regression check. Sparse 200 and 400 (--max-side)
+      // show whether a quiescent round still scales with the grid.
       if (!sparse && side > 50) continue;
       const SystemConfig cfg = sparse ? sparse_config(side) : dense_config(side);
       Row row{(sparse ? "sparse-" : "dense-") + std::to_string(side), side, {},

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
       "Micro: observability overhead",
       "MetricsRegistry + PhaseProfiler attach cost (DESIGN.md §7)");
 
-  const std::vector<int> all_sides = {20, 50};
+  const std::vector<int> all_sides = {20, 50, 100, 200, 400};
   const char* mode_names[] = {"detached", "metrics", "metrics+prof",
                               "full"};
 

@@ -9,7 +9,7 @@
 # and NetStabilization — single-threaded today, but kept in the lane so
 # a future parallel MessageSystem inherits the race check), plus the
 # active-set scheduler suites (ActiveSetDifferential runs the sharded
-# engine over the stamp/occupancy arrays — the scheduler reads them
+# engine over the armed/occupancy bitsets — the scheduler reads them
 # inside worker threads and mutates them only at phase barriers, which
 # is exactly the discipline TSan verifies) and the GrantReplay transport
 # adversary, plus the snapshot/replay suites (the round-trip property

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -28,6 +29,42 @@ std::uint64_t span_ns(obs::PhaseProfiler::Clock::time_point a,
   const auto d =
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
+}
+
+// --- active-set bitsets: bit k of word k/64 stands for dense cell k ----
+
+void set_bit(std::vector<std::uint64_t>& bits, std::size_t k) {
+  bits[k >> 6] |= std::uint64_t{1} << (k & 63);
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, std::size_t k) {
+  bits[k >> 6] &= ~(std::uint64_t{1} << (k & 63));
+}
+
+// Calls visit(k) for every set bit k in [begin, end), in ascending k —
+// the order of the plain per-cell loop it stands in for. Zero words are
+// skipped whole; a full word runs as that plain loop (a crowded grid is
+// all ones); other words are walked with ctz. Shard ranges are not
+// 64-aligned, so the words at either end are masked to the range.
+template <typename Visit>
+void for_each_set_bit(const std::vector<std::uint64_t>& bits,
+                      std::size_t begin, std::size_t end, Visit&& visit) {
+  if (begin >= end) return;
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  const std::size_t first = begin >> 6;
+  const std::size_t last = (end - 1) >> 6;
+  for (std::size_t w = first; w <= last; ++w) {
+    std::uint64_t word = bits[w];
+    if (w == first) word &= kAll << (begin & 63);
+    if (w == last) word &= kAll >> (63 - ((end - 1) & 63));
+    const std::size_t base = w << 6;
+    if (word == kAll) {
+      for (std::size_t k = base; k < base + 64; ++k) visit(k);
+      continue;
+    }
+    for (; word != 0; word &= word - 1)
+      visit(base + static_cast<std::size_t>(std::countr_zero(word)));
+  }
 }
 
 }  // namespace
@@ -115,31 +152,57 @@ void System::set_round_scheduler(RoundScheduler scheduler) {
 }
 
 void System::rebuild_active_sets() {
-  route_stamp_.assign(cells_.size(), round_);
-  occ_b_.assign(cells_.size(), 0);
-  occ_refs_.assign(cells_.size(), 0);
-  for (std::size_t k = 0; k < cells_.size(); ++k) {
+  const std::size_t n = cells_.size();
+  const std::size_t words = (n + 63) / 64;
+  // Every cell armed; the bits past the last cell stay clear.
+  route_armed_.assign(words, ~std::uint64_t{0});
+  if (n % 64 != 0) route_armed_.back() >>= 64 - n % 64;
+  occ_b_.assign(n, 0);
+  occ_refs_.assign(n, 0);
+  occ_nbhd_.assign(words, 0);
+  live_cells_ = 0;
+  live_degree_sum_ = 0;
+  for (std::size_t k = 0; k < n; ++k) {
     dist_snapshot_[k] = cells_[k].dist;
     if (occupied(cells_[k])) apply_occupancy_flip(k);
+    if (!cells_[k].failed) count_live(k, true);
   }
 }
 
-void System::arm_route_neighborhood(std::size_t k, std::uint64_t upto) {
-  route_stamp_[k] = std::max(route_stamp_[k], upto);
-  for (const std::uint32_t nk : nbr_idx_[k]) {
-    if (nk == kNoNbr) continue;
-    std::uint64_t& stamp = route_stamp_[nk];
-    stamp = std::max(stamp, upto);
-  }
+void System::arm_route_neighborhood(std::size_t k) {
+  set_bit(route_armed_, k);
+  for (const std::uint32_t nk : nbr_idx_[k])
+    if (nk != kNoNbr) set_bit(route_armed_, nk);
 }
 
 void System::apply_occupancy_flip(std::size_t k) {
   occ_b_[k] ^= 1u;
-  const int delta = occ_b_[k] != 0 ? 1 : -1;
-  occ_refs_[k] = static_cast<std::uint8_t>(occ_refs_[k] + delta);
-  for (const std::uint32_t nk : nbr_idx_[k]) {
-    if (nk == kNoNbr) continue;
-    occ_refs_[nk] = static_cast<std::uint8_t>(occ_refs_[nk] + delta);
+  const bool up = occ_b_[k] != 0;
+  const auto bump = [this, up](std::size_t j) {
+    if (up) {
+      if (occ_refs_[j]++ == 0) set_bit(occ_nbhd_, j);
+    } else if (--occ_refs_[j] == 0) {
+      clear_bit(occ_nbhd_, j);
+    }
+  };
+  bump(k);
+  for (const std::uint32_t nk : nbr_idx_[k])
+    if (nk != kNoNbr) bump(nk);
+}
+
+void System::count_live(std::size_t k, bool live) noexcept {
+  // The target tallies no relaxations (route_cell pins it at 0).
+  std::uint64_t degree = 0;
+  if (k != target_k_) {
+    for (const std::uint32_t nk : nbr_idx_[k])
+      if (nk != kNoNbr) ++degree;
+  }
+  if (live) {
+    ++live_cells_;
+    live_degree_sum_ += degree;
+  } else {
+    --live_cells_;
+    live_degree_sum_ -= degree;
   }
 }
 
@@ -154,7 +217,7 @@ void System::note_control_mutation(std::size_t k) {
   // Route over the affected neighborhood next round, and (c) refresh
   // the occupancy of the mutated cell.
   dist_snapshot_[k] = cells_[k].dist;
-  arm_route_neighborhood(k, round_);
+  arm_route_neighborhood(k);
   refresh_occupancy(k);
 }
 
@@ -300,8 +363,12 @@ CellMask System::tc_mask() const {
 
 void System::fail(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cells_[grid_.index_of(id)];
-  if (!c.failed && metrics_) metrics_->add_failure();  // idempotent action
+  const std::size_t k = grid_.index_of(id);
+  CellState& c = cells_[k];
+  if (!c.failed) {  // idempotent action
+    if (metrics_) metrics_->add_failure();
+    count_live(k, false);
+  }
   c.failed = true;
   c.dist = Dist::infinity();  // neighbors stop hearing from it
   c.next = std::nullopt;
@@ -311,14 +378,16 @@ void System::fail(CellId id) {
   c.signal = std::nullopt;
   c.token = std::nullopt;
   c.ne_prev.clear();
-  note_control_mutation(grid_.index_of(id));
+  note_control_mutation(k);
 }
 
 void System::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cells_[grid_.index_of(id)];
+  const std::size_t k = grid_.index_of(id);
+  CellState& c = cells_[k];
   if (!c.failed) return;
   if (metrics_) metrics_->add_recovery();
+  count_live(k, true);
   c.failed = false;
   // Reset to initial protocol state (§IV); Route repairs dist/next within
   // O(N²) rounds (Corollary 7). The target re-anchors at 0 so routing can
@@ -330,7 +399,7 @@ void System::recover(CellId id) {
   c.ne_prev.clear();
   // Members are retained: entities that were frozen on the failed cell
   // resume their journey.
-  note_control_mutation(grid_.index_of(id));
+  note_control_mutation(k);
 }
 
 const RoundEvents& System::update() {
@@ -549,9 +618,9 @@ void System::run_route_phase() {
   // changed need resyncing) and visits only armed cells — a cell is
   // armed exactly when a neighborhood dist changed last round or an
   // external mutation touched it, which is precisely when route_step
-  // could produce something new. Skipped live cells still tally their
-  // would-be relaxations so the ProtocolCounts contract (bit-identical
-  // counts across engines) holds.
+  // could produce something new. Skipped live cells owe their would-be
+  // relaxations to the ProtocolCounts contract (bit-identical counts
+  // across engines); the merge pays them in O(1) from live_degree_sum_.
   if (scheduler_ != RoundScheduler::kActiveSet) {
     for (std::size_t k = 0; k < cells_.size(); ++k)
       dist_snapshot_[k] = cells_[k].dist;
@@ -605,21 +674,10 @@ void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) route_cell(k, pc, nullptr);
     sc.visited += end - begin;
   } else {
-    for (std::size_t k = begin; k < end; ++k) {
-      if (route_stamp_[k] >= round_) {
-        route_cell(k, pc, &sc.changed);
-        ++sc.visited;
-      } else if (pc != nullptr && !cells_[k].failed) {
-        // The exhaustive loop would have relaxed over every
-        // lattice neighbor (and changed nothing — that is what
-        // quiescence means); the target tallies nothing once
-        // pinned at 0.
-        if (k != target_k_) {
-          for (const std::uint32_t nk : nbr_idx_[k])
-            if (nk != kNoNbr) ++pc->route_relaxations;
-        }
-      }
-    }
+    for_each_set_bit(route_armed_, begin, end, [&](std::size_t k) {
+      route_cell(k, pc, &sc.changed);
+      ++sc.visited;
+    });
   }
 }
 
@@ -637,19 +695,27 @@ void System::merge_route_results(std::size_t used) {
   for (std::size_t s = 0; s < used; ++s)
     sched_stats_.route_cells += scratch_.shards[s].visited;
   if (scheduler_ == RoundScheduler::kActiveSet) {
-    // Post-barrier merge, shard order: sync the snapshot for changed
-    // cells and arm their readers (the lattice neighbors) for next
-    // round. A cell's own Route output depends only on its neighbors'
-    // dists, so its own change does not re-arm itself.
+    // Post-barrier merge, shard order. The finished Route consumed
+    // every armed bit, so clear them all; then sync the snapshot for
+    // changed cells and arm their readers (the lattice neighbors) for
+    // next round. A cell's own Route output depends only on its
+    // neighbors' dists, so its own change does not re-arm itself.
+    std::fill(route_armed_.begin(), route_armed_.end(), 0);
     for (std::size_t s = 0; s < used; ++s) {
       for (const std::size_t k : scratch_.shards[s].changed) {
         dist_snapshot_[k] = cells_[k].dist;
-        for (const std::uint32_t nk : nbr_idx_[k]) {
-          if (nk == kNoNbr) continue;
-          std::uint64_t& stamp = route_stamp_[nk];
-          stamp = std::max(stamp, round_ + 1);
-        }
+        for (const std::uint32_t nk : nbr_idx_[k])
+          if (nk != kNoNbr) set_bit(route_armed_, nk);
       }
+    }
+    if (metrics_) {
+      // The exhaustive loop relaxes over every lattice neighbor of every
+      // live non-target cell, changing nothing at the skipped ones: the
+      // round owes live_degree_sum_ relaxations in total.
+      std::uint64_t tallied = 0;
+      for (std::size_t s = 0; s < used; ++s)
+        tallied += scratch_.shards[s].counts.route_relaxations;
+      round_counts_.route_relaxations += live_degree_sum_ - tallied;
     }
   }
 }
@@ -742,21 +808,16 @@ void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
       signal_cell(k, sc.blocked, pc, nullptr);
     sc.visited_b += end - begin;
   } else {
-    for (std::size_t k = begin; k < end; ++k) {
-      // occ_refs_ is frozen for the duration of the phase (flips
-      // buffer per shard and apply at the barrier), so every
-      // engine takes identical skip decisions. A cell with an
-      // all-unoccupied closed neighborhood maps (⊥,⊥,[]) to
-      // (⊥,⊥,[]) without consulting choose_, so skipping it is
-      // exact — it only owes the exhaustive loop's ne_prev_sizes
-      // tally for live cells.
-      if (occ_refs_[k] > 0) {
-        signal_cell(k, sc.blocked, pc, &sc.flips);
-        ++sc.visited_b;
-      } else if (pc != nullptr && !cells_[k].failed) {
-        ++pc->ne_prev_sizes[0];
-      }
-    }
+    // occ_nbhd_ is frozen for the duration of the phase (flips buffer
+    // per shard and apply at the barrier), so every engine takes
+    // identical skip decisions. A cell with an all-unoccupied closed
+    // neighborhood maps (⊥,⊥,[]) to (⊥,⊥,[]) without consulting
+    // choose_, so skipping it is exact — it only owes the exhaustive
+    // loop's ne_prev_sizes[0] tally, which the merge pays in O(1).
+    for_each_set_bit(occ_nbhd_, begin, end, [&](std::size_t k) {
+      signal_cell(k, sc.blocked, pc, &sc.flips);
+      ++sc.visited_b;
+    });
   }
 }
 
@@ -769,6 +830,15 @@ void System::merge_signal_results(std::size_t used) {
     events_.blocked.insert(events_.blocked.end(), sc.blocked.begin(),
                            sc.blocked.end());
     sched_stats_.signal_cells += sc.visited_b;
+  }
+  if (scheduler_ == RoundScheduler::kActiveSet && metrics_) {
+    // Every live cell tallies one |NEPrev| bucket in the exhaustive loop;
+    // a skipped cell's NEPrev is empty, so its bucket is 0.
+    std::uint64_t tallied = 0;
+    for (std::size_t s = 0; s < used; ++s)
+      for (const std::uint64_t b : scratch_.shards[s].counts.ne_prev_sizes)
+        tallied += b;
+    round_counts_.ne_prev_sizes[0] += live_cells_ - tallied;
   }
   // Occupancy flips apply at the barrier, in shard order, so the Move
   // phase's activity reads see the post-Signal occupancy on every
@@ -879,19 +949,16 @@ void System::move_span(std::size_t s, std::size_t begin, std::size_t end) {
       move_cell(k, sc.moved, sc.pending, sc.crossed, pc);
     sc.visited += end - begin;
   } else {
-    for (std::size_t k = begin; k < end; ++k) {
-      // An unoccupied cell with an unoccupied closed neighborhood
-      // cannot move: it has no members to relocate or compact,
-      // and a grant in its favor would make its destination (a
-      // lattice neighbor, post-Route) occupied — so move_cell
-      // would be a no-op that tallies nothing. occ_refs_ already
-      // reflects this round's Signal output (flips merged at the
-      // barrier).
-      if (occ_refs_[k] > 0) {
-        move_cell(k, sc.moved, sc.pending, sc.crossed, pc);
-        ++sc.visited;
-      }
-    }
+    // An unoccupied cell with an unoccupied closed neighborhood cannot
+    // move: it has no members to relocate or compact, and a grant in
+    // its favor would make its destination (a lattice neighbor,
+    // post-Route) occupied — so move_cell would be a no-op that tallies
+    // nothing. occ_nbhd_ already reflects this round's Signal output
+    // (flips merged at the barrier).
+    for_each_set_bit(occ_nbhd_, begin, end, [&](std::size_t k) {
+      move_cell(k, sc.moved, sc.pending, sc.crossed, pc);
+      ++sc.visited;
+    });
   }
 }
 

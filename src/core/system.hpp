@@ -500,15 +500,20 @@ class System {
 
   /// Re-derives every scheduler structure from the current protocol
   /// state: all cells armed for Route this round, occupancy bits and
-  /// neighborhood refcounts recomputed, dist snapshot synced.
+  /// neighborhood refcounts recomputed, dist snapshot synced, and the
+  /// compensation totals recounted.
   void rebuild_active_sets();
 
-  /// Arms `k` and its lattice neighbors to run Route in round `upto`.
-  void arm_route_neighborhood(std::size_t k, std::uint64_t upto);
+  /// Arms `k` and its lattice neighbors to run Route in the coming round.
+  void arm_route_neighborhood(std::size_t k);
 
   /// Toggles occ_b_[k] and propagates ±1 to the closed neighborhood's
-  /// refcounts. Callers guarantee the bit is actually stale.
+  /// refcounts, mirroring each 0↔1 crossing into occ_nbhd_. Callers
+  /// guarantee the bit is actually stale.
   void apply_occupancy_flip(std::size_t k);
+
+  /// Moves cell k into (`live` = true) or out of the compensation totals.
+  void count_live(std::size_t k, bool live) noexcept;
 
   /// Recomputes B(cells_[k]) and applies the flip if it changed
   /// (idempotent; used by the serial mutation points: injection,
@@ -626,15 +631,27 @@ class System {
   /// cell_id_[k] == grid_.id_of(k), cached (avoids a div/mod per access).
   std::vector<CellId> cell_id_;
 
-  // Active-set scheduler state (kActiveSet; rebuilt on switch). All
-  // three vectors are read-only during the sharded phase loops and
-  // mutated only at the barriers / between rounds, on the calling
-  // thread — shards buffer their changes privately (see route_cell /
-  // signal_cell) and the merges apply them in shard order.
+  // Active-set scheduler state (kActiveSet; rebuilt on switch). Every
+  // vector and bitset below is read-only during the sharded phase loops
+  // and written only at the serial merges / between rounds, on the
+  // calling thread — shards buffer their changes privately (see
+  // route_cell / signal_cell) and the merges apply them in shard order.
+  // No bitset word is ever written inside a span, so shards that share
+  // a word at their boundary never race or false-share on it.
   RoundScheduler scheduler_ = RoundScheduler::kActiveSet;
-  std::vector<std::uint64_t> route_stamp_;  ///< run Route iff >= round_
-  std::vector<std::uint8_t> occ_b_;         ///< B(cells_[k]), cached
-  std::vector<std::uint8_t> occ_refs_;      ///< # occupied in closed nbhd
+  /// Bit k set iff cell k runs Route in the coming round (armed).
+  std::vector<std::uint64_t> route_armed_;
+  std::vector<std::uint8_t> occ_b_;     ///< B(cells_[k]), cached
+  std::vector<std::uint8_t> occ_refs_;  ///< # occupied in closed nbhd
+  /// Bit k set iff occ_refs_[k] > 0: cell k runs Signal and Move.
+  std::vector<std::uint64_t> occ_nbhd_;
+  // Skipped-cell compensation (kActiveSet with metrics attached): every
+  // round the exhaustive loop tallies `live_degree_sum_` Route
+  // relaxations (lattice degree of each live non-target cell) and one
+  // ne_prev_sizes bucket per live cell. Kept exact in O(1) by
+  // fail()/recover() and re-derived by rebuild_active_sets().
+  std::uint64_t live_degree_sum_ = 0;
+  std::uint64_t live_cells_ = 0;
   SchedulerStats sched_stats_;
 };
 

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,8 @@
 #include "core/predicates.hpp"
 #include "core/system.hpp"
 #include "failure/failure_model.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "util/check.hpp"
@@ -225,7 +228,12 @@ TEST(ParallelGoldenTrace, PinnedTraceAtEveryThreadCount) {
 // is the hard case: it can plant a signal on an otherwise-empty cell and
 // a non-adjacent next on an occupied one, both of which the scheduler's
 // re-arm rules must chase). Bit-identical states and events required
-// after every round, oracles checked throughout.
+// after every round, oracles checked throughout. Sides 9, 13 and 17 span
+// 2, 3 and 5 words of the scheduler's bitsets, so the partial-word masks
+// and the mid-word shard boundaries of the 2/4/8-thread engines run too.
+// Metrics are attached mid-run (round 20), as scenario runs attach them
+// after warm-up: the O(1) skipped-cell compensation must then match the
+// exhaustive tallies through every fail/recover and corruption.
 class ActiveSetDifferential : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
@@ -236,7 +244,8 @@ TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
     return static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
   };
 
-  const int side = 4 + static_cast<int>(rng.below(5));  // 4..8
+  constexpr std::array<int, 8> kSides = {4, 5, 6, 7, 8, 9, 13, 17};
+  const int side = kSides[rng.below(kSides.size())];
   const double l = rng.uniform(0.1, 0.35);
   const double rs = rng.uniform(0.05, std::min(0.4, 0.95 - l));
   const double v = rng.uniform(0.05, l);
@@ -265,6 +274,11 @@ TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
     return random_choose ? make_choose_policy("random", 2000 + seed) : nullptr;
   };
 
+  // Declared before the engines, which keep pointers into them.
+  obs::MetricsRegistry exhaustive_reg;
+  obs::MetricsRegistry serial_reg;
+  obs::MetricsRegistry parallel4_reg;
+
   System exhaustive{cfg, choose()};
   exhaustive.set_parallel_policy(ParallelPolicy::serial());
   exhaustive.set_round_scheduler(RoundScheduler::kExhaustive);
@@ -288,7 +302,13 @@ TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
     for (auto& e : engines) mutate(*e);
   };
 
+  ASSERT_EQ(thread_counts[2], 4);
   for (int round = 0; round < 60; ++round) {
+    if (round == 20) {
+      exhaustive.set_metrics(&exhaustive_reg);
+      active_serial.set_metrics(&serial_reg);
+      engines[2]->set_metrics(&parallel4_reg);
+    }
     for (const CellId id : exhaustive.grid().all_cells()) {
       if (exhaustive.cell(id).failed) {
         if (rng.bernoulli(0.05))
@@ -344,13 +364,20 @@ TEST_P(ActiveSetDifferential, BitIdenticalToExhaustiveSerial) {
           << "round " << round << ": " << to_string(*violation);
     }
   }
+
+  const std::string reference = obs::to_prometheus(exhaustive_reg);
+  EXPECT_NE(reference.find("cellflow_route_relaxations_total"),
+            std::string::npos);
+  EXPECT_EQ(obs::to_prometheus(serial_reg), reference) << "active-serial";
+  EXPECT_EQ(obs::to_prometheus(parallel4_reg), reference)
+      << "active-threads=4";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ActiveSetDifferential,
                          ::testing::ValuesIn(scenarios()));
 
 // Switching schedulers mid-run must be seamless in both directions:
-// set_round_scheduler(kActiveSet) rebuilds the stamps/occupancy from the
+// set_round_scheduler(kActiveSet) rebuilds the armed bits/occupancy from the
 // current state, so a run that flips back and forth stays bit-identical
 // to one that never left kExhaustive.
 TEST(ActiveSetScheduler, MidRunToggleIsSeamless) {
@@ -385,12 +412,15 @@ TEST(ActiveSetScheduler, MidRunToggleIsSeamless) {
 
 // The point of the scheduler: once routing has stabilized and no entity
 // is in flight, every phase's visit count must drop to zero — the system
-// is provably quiescent and update() touches no cell at all.
-TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCells) {
+// is provably quiescent and update() touches no cell at all. A single
+// perturbation (failing one cell, by dense index) then re-arms exactly
+// one neighborhood, and the wave settles back to full quiescence.
+void expect_quiescence_around(int side,
+                              std::initializer_list<std::size_t> fail_at) {
   SystemConfig cfg;
-  cfg.side = 10;
+  cfg.side = side;
   cfg.params = Params(0.2, 0.1, 0.1);
-  cfg.target = CellId{9, 9};
+  cfg.target = CellId{side - 1, side - 1};
   cfg.sources = {};  // no injections, no entities, ever
   System sys{cfg, nullptr, std::make_unique<NullSource>()};
 
@@ -400,23 +430,33 @@ TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCells) {
   EXPECT_EQ(stats.signal_cells, 0u);
   EXPECT_EQ(stats.move_cells, 0u);
 
-  // A single perturbation re-arms exactly one neighborhood, then the
-  // wave settles back to full quiescence.
-  sys.fail(CellId{4, 4});
-  sys.update();
-  EXPECT_GT(sys.last_scheduler_stats().route_cells, 0u);
-  for (int round = 0; round < 60; ++round) sys.update();
-  EXPECT_EQ(sys.last_scheduler_stats().route_cells, 0u);
-  EXPECT_EQ(sys.last_scheduler_stats().signal_cells, 0u);
-  EXPECT_EQ(sys.last_scheduler_stats().move_cells, 0u);
+  for (const std::size_t k : fail_at) {
+    sys.fail(sys.grid().id_of(k));
+    sys.update();
+    EXPECT_GT(sys.last_scheduler_stats().route_cells, 0u) << "cell " << k;
+    for (int round = 0; round < 60; ++round) sys.update();
+    EXPECT_EQ(sys.last_scheduler_stats().route_cells, 0u) << "cell " << k;
+    EXPECT_EQ(sys.last_scheduler_stats().signal_cells, 0u) << "cell " << k;
+    EXPECT_EQ(sys.last_scheduler_stats().move_cells, 0u) << "cell " << k;
+  }
 
   // Under kExhaustive the same state reports every-cell-every-phase.
   sys.set_round_scheduler(RoundScheduler::kExhaustive);
   sys.update();
-  const auto n = static_cast<std::uint64_t>(10 * 10);
+  const auto n = static_cast<std::uint64_t>(side * side);
   EXPECT_EQ(sys.last_scheduler_stats().route_cells, n);
   EXPECT_EQ(sys.last_scheduler_stats().signal_cells, n);
   EXPECT_EQ(sys.last_scheduler_stats().move_cells, n);
+}
+
+TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCells) {
+  expect_quiescence_around(10, {Grid(10).index_of(CellId{4, 4})});
+}
+
+// Side 9 puts the bitsets' first word boundary (cells 63 | 64) inside
+// the grid: failing either cell arms a neighborhood in both words.
+TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCellsAcrossAWordBoundary) {
+  expect_quiescence_around(9, {63, 64});
 }
 
 // Regression for the latent-nondeterminism fix: canonical_transfer_order
