@@ -11,7 +11,11 @@
 # active-set scheduler suites (ActiveSetDifferential runs the sharded
 # engine over the armed/occupancy bitsets — the scheduler reads them
 # inside worker threads and mutates them only at phase barriers, which
-# is exactly the discipline TSan verifies) and the GrantReplay transport
+# is exactly the discipline TSan verifies; CrowdedDifferential runs the
+# fused Route→Signal stage at 2 and 4 threads on fully seeded grids, so
+# the Signal arming done at round start, before the plan is dispatched,
+# and the signal_armed_/blocked_/grant_to_ reads inside the workers are
+# checked under the gate too) and the GrantReplay transport
 # adversary, plus the snapshot/replay suites (the round-trip property
 # tests restore into engines running the parallel policy at 2 and 4
 # threads, so save/restore racing the pool would surface here). Any data

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "core/move.hpp"
 #include "core/route.hpp"
@@ -41,20 +42,30 @@ void clear_bit(std::vector<std::uint64_t>& bits, std::size_t k) {
   bits[k >> 6] &= ~(std::uint64_t{1} << (k & 63));
 }
 
-// Calls visit(k) for every set bit k in [begin, end), in ascending k —
-// the order of the plain per-cell loop it stands in for. Zero words are
-// skipped whole; a full word runs as that plain loop (a crowded grid is
-// all ones); other words are walked with ctz. Shard ranges are not
-// 64-aligned, so the words at either end are masked to the range.
-template <typename Visit>
-void for_each_set_bit(const std::vector<std::uint64_t>& bits,
-                      std::size_t begin, std::size_t end, Visit&& visit) {
+void flip_bit(std::vector<std::uint64_t>& bits, std::size_t k) {
+  bits[k >> 6] ^= std::uint64_t{1} << (k & 63);
+}
+
+bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t k) {
+  return ((bits[k >> 6] >> (k & 63)) & 1u) != 0;
+}
+
+constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+// Calls visit(k) for every set bit k in [begin, end) of the bitset whose
+// word w is word_at(w), in ascending k — the order of the plain per-cell
+// loop it stands in for. Zero words are skipped whole; a full word runs
+// as that plain loop (a crowded grid is all ones); other words are
+// walked with ctz. Shard ranges are not 64-aligned, so the words at
+// either end are masked to the range.
+template <typename WordAt, typename Visit>
+void for_each_set_bit(std::size_t begin, std::size_t end, WordAt&& word_at,
+                      Visit&& visit) {
   if (begin >= end) return;
-  constexpr std::uint64_t kAll = ~std::uint64_t{0};
   const std::size_t first = begin >> 6;
   const std::size_t last = (end - 1) >> 6;
   for (std::size_t w = first; w <= last; ++w) {
-    std::uint64_t word = bits[w];
+    std::uint64_t word = word_at(w);
     if (w == first) word &= kAll << (begin & 63);
     if (w == last) word &= kAll >> (63 - ((end - 1) & 63));
     const std::size_t base = w << 6;
@@ -65,6 +76,20 @@ void for_each_set_bit(const std::vector<std::uint64_t>& bits,
     for (; word != 0; word &= word - 1)
       visit(base + static_cast<std::size_t>(std::countr_zero(word)));
   }
+}
+
+template <typename Visit>
+void for_each_set_bit(const std::vector<std::uint64_t>& bits,
+                      std::size_t begin, std::size_t end, Visit&& visit) {
+  for_each_set_bit(
+      begin, end, [&bits](std::size_t w) { return bits[w]; },
+      std::forward<Visit>(visit));
+}
+
+// The ne_prev_sizes bucket a cell with |NEPrev| = n tallies.
+std::size_t ne_prev_bucket(std::size_t n) {
+  return std::min<std::size_t>(
+      n, std::tuple_size_v<decltype(obs::ProtocolCounts::ne_prev_sizes)> - 1);
 }
 
 }  // namespace
@@ -155,8 +180,12 @@ void System::rebuild_active_sets() {
   const std::size_t n = cells_.size();
   const std::size_t words = (n + 63) / 64;
   // Every cell armed; the bits past the last cell stay clear.
-  route_armed_.assign(words, ~std::uint64_t{0});
+  route_armed_.assign(words, kAll);
   if (n % 64 != 0) route_armed_.back() >>= 64 - n % 64;
+  signal_armed_ = route_armed_;
+  blocked_.assign(words, 0);
+  grant_to_.assign(words, 0);
+  blocked_hist_ = {};
   occ_b_.assign(n, 0);
   occ_refs_.assign(n, 0);
   occ_nbhd_.assign(words, 0);
@@ -173,6 +202,34 @@ void System::arm_route_neighborhood(std::size_t k) {
   set_bit(route_armed_, k);
   for (const std::uint32_t nk : nbr_idx_[k])
     if (nk != kNoNbr) set_bit(route_armed_, nk);
+}
+
+void System::arm_signal_neighborhood(std::size_t k) {
+  set_bit(signal_armed_, k);
+  for (const std::uint32_t nk : nbr_idx_[k])
+    if (nk != kNoNbr) set_bit(signal_armed_, nk);
+}
+
+void System::arm_signal_around_route() {
+  for_each_set_bit(route_armed_, 0, cells_.size(),
+                   [this](std::size_t k) { arm_signal_neighborhood(k); });
+}
+
+void System::forget_blocked(std::size_t k) {
+  if (!test_bit(blocked_, k)) return;
+  clear_bit(blocked_, k);
+  --blocked_hist_[ne_prev_bucket(cells_[k].ne_prev.size())];
+}
+
+void System::note_grant(std::size_t k) {
+  // Figure 6's guard, evaluated from the granting side: the grantee moves
+  // iff it is live and routes into k. A corrupted signal may name a
+  // non-neighbor or a cell off the grid; the guard holds the same way.
+  const OptCellId& s = cells_[k].signal;
+  if (!s.has_value() || !grid_.contains(*s)) return;
+  const std::size_t j = grid_.index_of(*s);
+  if (!cells_[j].failed && cells_[j].next == OptCellId{cell_id_[k]})
+    set_bit(grant_to_, j);
 }
 
 void System::apply_occupancy_flip(std::size_t k) {
@@ -210,14 +267,24 @@ void System::refresh_occupancy(std::size_t k) {
   if (occupied(cells_[k]) != (occ_b_[k] != 0)) apply_occupancy_flip(k);
 }
 
+void System::note_members_change(std::size_t k, bool was_empty) {
+  if (cells_[k].members.empty() != was_empty) {
+    arm_signal_neighborhood(k);
+  } else {
+    set_bit(signal_armed_, k);
+  }
+  refresh_occupancy(k);
+}
+
 void System::note_control_mutation(std::size_t k) {
   // The exhaustive engine re-reads every dist each round and rewrites
   // every cell's control state; an external mutation therefore forces
   // the active scheduler to (a) keep the snapshot invariant, (b) rerun
-  // Route over the affected neighborhood next round, and (c) refresh
-  // the occupancy of the mutated cell.
+  // Route and Signal over the affected neighborhood next round, and (c)
+  // refresh the occupancy of the mutated cell.
   dist_snapshot_[k] = cells_[k].dist;
   arm_route_neighborhood(k);
+  arm_signal_neighborhood(k);
   refresh_occupancy(k);
 }
 
@@ -369,6 +436,7 @@ void System::fail(CellId id) {
     if (metrics_) metrics_->add_failure();
     count_live(k, false);
   }
+  forget_blocked(k);
   c.failed = true;
   c.dist = Dist::infinity();  // neighbors stop hearing from it
   c.next = std::nullopt;
@@ -537,7 +605,9 @@ void System::run_fused_round() {
   const bool signal_fused = choose_->concurrent_safe();
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
 
-  if (!active) {
+  if (active) {
+    arm_signal_around_route();
+  } else {
     for (std::size_t k = 0; k < n; ++k) dist_snapshot_[k] = cells_[k].dist;
   }
   const auto nshards = static_cast<std::size_t>(pool->thread_count());
@@ -624,6 +694,8 @@ void System::run_route_phase() {
   if (scheduler_ != RoundScheduler::kActiveSet) {
     for (std::size_t k = 0; k < cells_.size(); ++k)
       dist_snapshot_[k] = cells_[k].dist;
+  } else {
+    arm_signal_around_route();
   }
 
   ThreadPool* pool = pool_.get();
@@ -804,21 +876,33 @@ void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
-    for (std::size_t k = begin; k < end; ++k)
-      signal_cell(k, sc.blocked, pc, nullptr);
+    for (std::size_t k = begin; k < end; ++k) signal_cell(k, sc, pc, false);
     sc.visited_b += end - begin;
-  } else {
-    // occ_nbhd_ is frozen for the duration of the phase (flips buffer
-    // per shard and apply at the barrier), so every engine takes
-    // identical skip decisions. A cell with an all-unoccupied closed
-    // neighborhood maps (⊥,⊥,[]) to (⊥,⊥,[]) without consulting
-    // choose_, so skipping it is exact — it only owes the exhaustive
-    // loop's ne_prev_sizes[0] tally, which the merge pays in O(1).
-    for_each_set_bit(occ_nbhd_, begin, end, [&](std::size_t k) {
-      signal_cell(k, sc.blocked, pc, &sc.flips);
-      ++sc.visited_b;
-    });
+    return;
   }
+  // The gates are frozen for the duration of the phase (changes buffer
+  // per shard and apply at the barrier), so every engine takes identical
+  // skip decisions. A cell with an all-unoccupied closed neighborhood
+  // maps (⊥,⊥,[]) to (⊥,⊥,[]) without consulting choose_. An unarmed
+  // cell has the inputs and token of its last run, which neither granted
+  // nor called choose_ (a choice moves the token, and both re-arm), so
+  // Figure 5 would recompute its stored output: skipping it is exact.
+  // If that run blocked, it blocks again — replay the event in place, so
+  // `blocked` keeps ascending order. The merge pays every skipped cell's
+  // tallies in O(1). Under kCompacting Move rewrites Members of cells it
+  // never reports, so every cell of an occupied neighborhood reruns.
+  const bool coupled = config_.movement_rule == MovementRule::kCoupled;
+  const auto gate = [this, coupled](std::size_t w) {
+    return occ_nbhd_[w] & (coupled ? signal_armed_[w] | blocked_[w] : kAll);
+  };
+  for_each_set_bit(begin, end, gate, [&](std::size_t k) {
+    if (!coupled || test_bit(signal_armed_, k)) {
+      signal_cell(k, sc, pc, true);
+      ++sc.visited_b;
+    } else {
+      sc.blocked.push_back(cell_id_[k]);
+    }
+  });
 }
 
 void System::merge_signal_results(std::size_t used) {
@@ -831,30 +915,68 @@ void System::merge_signal_results(std::size_t used) {
                            sc.blocked.end());
     sched_stats_.signal_cells += sc.visited_b;
   }
-  if (scheduler_ == RoundScheduler::kActiveSet && metrics_) {
+  if (scheduler_ != RoundScheduler::kActiveSet) return;
+
+  // The replayed cells: blocked_ minus the ones that reran. They are
+  // live (fail() forgets a blocked cell), and each owes its |NEPrev|
+  // bucket and one block.
+  NePrevHist replayed = blocked_hist_;
+  std::uint64_t n_replayed = 0;
+  for (std::size_t b = 0; b < replayed.size(); ++b) {
+    for (std::size_t s = 0; s < used; ++s)
+      replayed[b] -= scratch_.shards[s].reran_blocked[b];
+    n_replayed += replayed[b];
+    blocked_hist_[b] = replayed[b];
+    for (std::size_t s = 0; s < used; ++s)
+      blocked_hist_[b] += scratch_.shards[s].new_blocked[b];
+  }
+  if (metrics_) {
     // Every live cell tallies one |NEPrev| bucket in the exhaustive loop;
-    // a skipped cell's NEPrev is empty, so its bucket is 0.
+    // a skipped cell that was not replayed has an empty NEPrev (it is
+    // unoccupied, or its last run saw no candidate), so its bucket is 0.
     std::uint64_t tallied = 0;
     for (std::size_t s = 0; s < used; ++s)
       for (const std::uint64_t b : scratch_.shards[s].counts.ne_prev_sizes)
         tallied += b;
-    round_counts_.ne_prev_sizes[0] += live_cells_ - tallied;
+    for (std::size_t b = 0; b < replayed.size(); ++b)
+      round_counts_.ne_prev_sizes[b] += replayed[b];
+    round_counts_.signal_blocks += n_replayed;
+    round_counts_.ne_prev_sizes[0] += live_cells_ - tallied - n_replayed;
+  }
+
+  // The finished Signal consumed every armed bit; re-arm the cells that
+  // granted or moved their token (their next run may differ even with
+  // unchanged inputs) and schedule the movers they granted.
+  const bool coupled = config_.movement_rule == MovementRule::kCoupled;
+  std::fill(signal_armed_.begin(), signal_armed_.end(), 0);
+  for (std::size_t s = 0; s < used; ++s) {
+    const ShardScratch& sc = scratch_.shards[s];
+    for (const std::size_t k : sc.rearm) {
+      set_bit(signal_armed_, k);
+      if (coupled) note_grant(k);
+    }
+    for (const std::size_t k : sc.blocked_flips) flip_bit(blocked_, k);
   }
   // Occupancy flips apply at the barrier, in shard order, so the Move
   // phase's activity reads see the post-Signal occupancy on every
   // engine (a fresh grant makes its destination occupied, which is what
-  // schedules the granted mover).
+  // schedules the granted mover under kCompacting).
   for (std::size_t s = 0; s < used; ++s)
     for (const std::size_t k : scratch_.shards[s].flips)
       apply_occupancy_flip(k);
 }
 
-void System::signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
-                         obs::ProtocolCounts* counts,
-                         std::vector<std::size_t>* flip_out) {
+void System::signal_cell(std::size_t k, ShardScratch& sc,
+                         obs::ProtocolCounts* counts, bool active) {
   CellState& c = cells_[k];
-  if (c.failed) return;
-  const CellId id = grid_.id_of(k);
+  if (c.failed) {
+    // Figure 5 does not run here, but Move still honors a signal that
+    // corruption planted: keep such a cell armed, and its grant noted,
+    // for as long as the signal stays.
+    if (active && c.signal.has_value()) sc.rearm.push_back(k);
+    return;
+  }
+  const CellId id = cell_id_[k];
 
   SignalInputs in;
   in.self = id;
@@ -876,20 +998,31 @@ void System::signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
       config_.signal_rule == SignalRule::kBlocking
           ? signal_step(std::move(in), config_.params, *choose_)
           : signal_step_always_grant(std::move(in), *choose_);
-  if (had_candidate && !r.signal.has_value()) blocked_out.push_back(id);
+  const bool blocked = had_candidate && !r.signal.has_value();
+  if (blocked) sc.blocked.push_back(id);
   if (counts != nullptr) {
-    ++counts->ne_prev_sizes[std::min<std::size_t>(
-        ne_prev_size, counts->ne_prev_sizes.size() - 1)];
+    ++counts->ne_prev_sizes[ne_prev_bucket(ne_prev_size)];
     if (r.signal.has_value()) ++counts->signal_grants;
-    if (had_candidate && !r.signal.has_value()) ++counts->signal_blocks;
+    if (blocked) ++counts->signal_blocks;
     if (old_token.has_value() && r.token != old_token)
       ++counts->signal_token_rotations;
+  }
+  if (active) {
+    // A cell that granted or moved its token reruns next round. One that
+    // blocked without moving its token (so it still holds one, and stays
+    // in occ_nbhd_) joins blocked_ and is replayed until re-armed.
+    const bool rearm = r.signal.has_value() || r.token != old_token;
+    const bool frozen = blocked && !rearm;
+    const bool was_frozen = test_bit(blocked_, k);
+    if (was_frozen) ++sc.reran_blocked[ne_prev_bucket(c.ne_prev.size())];
+    if (frozen) ++sc.new_blocked[ne_prev_bucket(ne_prev_size)];
+    if (frozen != was_frozen) sc.blocked_flips.push_back(k);
+    if (rearm) sc.rearm.push_back(k);
   }
   c.signal = r.signal;
   c.token = r.token;
   c.ne_prev = std::move(r.ne_prev);
-  if (flip_out != nullptr && occupied(c) != (occ_b_[k] != 0))
-    flip_out->push_back(k);
+  if (active && occupied(c) != (occ_b_[k] != 0)) sc.flips.push_back(k);
 }
 
 void System::run_move_phase() {
@@ -949,13 +1082,17 @@ void System::move_span(std::size_t s, std::size_t begin, std::size_t end) {
       move_cell(k, sc.moved, sc.pending, sc.crossed, pc);
     sc.visited += end - begin;
   } else {
-    // An unoccupied cell with an unoccupied closed neighborhood cannot
-    // move: it has no members to relocate or compact, and a grant in
-    // its favor would make its destination (a lattice neighbor,
-    // post-Route) occupied — so move_cell would be a no-op that tallies
-    // nothing. occ_nbhd_ already reflects this round's Signal output
-    // (flips merged at the barrier).
-    for_each_set_bit(occ_nbhd_, begin, end, [&](std::size_t k) {
+    // Under kCoupled a cell moves only with its destination's grant, and
+    // the Signal merge set grant_to_ for exactly those cells. Under
+    // kCompacting every nonempty cell compacts; an unoccupied cell with
+    // an unoccupied closed neighborhood cannot move — it has no members,
+    // and a grant in its favor would make its destination (a lattice
+    // neighbor, post-Route) occupied. occ_nbhd_ already reflects this
+    // round's Signal output (flips merged at the barrier).
+    const std::vector<std::uint64_t>& gate =
+        config_.movement_rule == MovementRule::kCoupled ? grant_to_
+                                                         : occ_nbhd_;
+    for_each_set_bit(gate, begin, end, [&](std::size_t k) {
       move_cell(k, sc.moved, sc.pending, sc.crossed, pc);
       ++sc.visited;
     });
@@ -982,6 +1119,9 @@ void System::merge_move_results(std::size_t used) {
   // each); enforce it anyway so no engine can drift.
   canonical_transfer_order(grid_, transfers);
 
+  // Membership only changes at cells that received a delivery (growth)
+  // or applied a movement (shrink); both lists are in canonical order.
+  const bool active = scheduler_ == RoundScheduler::kActiveSet;
   for (PendingTransfer& t : transfers) {
     TransferEvent ev{t.entity.id, t.from, t.to, /*consumed=*/false};
     if (t.to == config_.target) {
@@ -991,19 +1131,20 @@ void System::merge_move_results(std::size_t used) {
       if (metrics_) ++round_counts_.consumptions;
       // Figure 6 line 11: the entity is not added to any cell — consumed.
     } else {
-      cells_[grid_.index_of(t.to)].members.push_back(t.entity);
+      const std::size_t to = grid_.index_of(t.to);
+      const bool was_empty = cells_[to].members.empty();
+      cells_[to].members.push_back(t.entity);
+      if (active) note_members_change(to, was_empty);
     }
     events_.transfers.push_back(ev);
   }
-  if (scheduler_ == RoundScheduler::kActiveSet) {
-    // Membership only changes at cells that applied a movement (shrink)
-    // or received a delivery (growth); both lists are already in
-    // canonical order. refresh_occupancy is idempotent, so overlap
-    // (a cell that both moved and received) is harmless.
+  if (active) {
+    // A mover only loses members. Taking each as nonempty before is
+    // exact for every mover that had members and merely arms more for
+    // one that had none (an empty cell can be granted).
     for (const CellId id : events_.moved)
-      refresh_occupancy(grid_.index_of(id));
-    for (const TransferEvent& t : events_.transfers)
-      if (!t.consumed) refresh_occupancy(grid_.index_of(t.to));
+      note_members_change(grid_.index_of(id), /*was_empty=*/false);
+    std::fill(grant_to_.begin(), grant_to_.end(), 0);
   }
 }
 
@@ -1058,8 +1199,9 @@ void System::run_inject_phase() {
       continue;
     }
     const EntityId id{next_entity_id_++};
+    const bool was_empty = c.members.empty();
     c.members.push_back(Entity{id, *center});
-    refresh_occupancy(grid_.index_of(s));
+    note_members_change(grid_.index_of(s), was_empty);
     source_->note_accepted();
     events_.injected.emplace_back(s, id);
     if (metrics_) ++round_counts_.injections;
@@ -1109,23 +1251,28 @@ EntityId System::seed_entity(CellId id, Vec2 center) {
   CF_EXPECTS_MSG(injection_is_safe(id, center),
                  "seed_entity: placement violates the gap requirement or "
                  "Invariant-1 bounds");
+  const std::size_t k = grid_.index_of(id);
   const EntityId eid{next_entity_id_++};
-  cells_[grid_.index_of(id)].members.push_back(Entity{eid, center});
-  refresh_occupancy(grid_.index_of(id));
+  const bool was_empty = cells_[k].members.empty();
+  cells_[k].members.push_back(Entity{eid, center});
+  note_members_change(k, was_empty);
   return eid;
 }
 
 EntityId System::seed_entity_unchecked(CellId id, Vec2 center) {
   CF_EXPECTS(grid_.contains(id));
+  const std::size_t k = grid_.index_of(id);
   const EntityId eid{next_entity_id_++};
-  cells_[grid_.index_of(id)].members.push_back(Entity{eid, center});
-  refresh_occupancy(grid_.index_of(id));
+  const bool was_empty = cells_[k].members.empty();
+  cells_[k].members.push_back(Entity{eid, center});
+  note_members_change(k, was_empty);
   return eid;
 }
 
 void System::corrupt_control_state(CellId id, Dist dist, OptCellId next,
                                    OptCellId token, OptCellId signal) {
   CF_EXPECTS(grid_.contains(id));
+  forget_blocked(grid_.index_of(id));
   CellState& c = cells_[grid_.index_of(id)];
   c.dist = dist;
   c.next = next;

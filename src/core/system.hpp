@@ -126,12 +126,17 @@ struct ParallelPolicy {
 ///     fail()/recover()/corrupt_control_state(). route_step is a pure
 ///     function of the neighbors' previous-round dists, so unchanged
 ///     inputs reproduce the stored dist/next.
-///   * Signal/Move — a cell runs only if some cell of its closed
-///     neighborhood is "occupied" (has members, a token, a signal, or a
-///     stale NEPrev). An unoccupied cell with unoccupied neighbors maps
-///     (⊥,⊥,[]) to (⊥,⊥,[]) without consulting the ChoosePolicy, and a
-///     granted mover always has an occupied destination, so skipping is
-///     invisible — including to stateful (RandomChoose) token streams.
+///   * Signal — a cell runs only if some cell of its closed neighborhood
+///     is "occupied" (has members, a token, a signal, or a stale NEPrev)
+///     and one of its Signal inputs changed since its last run: its own
+///     Members or token, or a neighbor's next, emptiness or failure flag.
+///     A cell whose last run granted is rerun too. Otherwise Figure 5
+///     recomputes its stored output without consulting the ChoosePolicy,
+///     so skipping is invisible — including to stateful (RandomChoose)
+///     token streams; a skipped cell that blocked is replayed as blocked.
+///   * Move — under MovementRule::kCoupled only the cells whose
+///     destination granted them run; kCompacting runs every cell of an
+///     occupied neighborhood (they all compact).
 ///
 /// The active sets are maintained incrementally (injection, transfer,
 /// consumption, failure events), never rescanned; see DESIGN.md §9 for
@@ -426,17 +431,18 @@ class System {
   // canonical (ascending cell-index) order afterwards.
   // `counts` is the shard-private tally slot (nullptr when no registry
   // is attached — the bodies then skip all bookkeeping).
-  // `changed_out`/`flip_out` are the active-set scheduler's shard-private
-  // change buffers (nullptr under kExhaustive): cells whose dist changed
-  // (Route) / whose occupancy bit flipped (Signal). Both are applied to
-  // the shared scheduler state only at the post-phase barrier, in shard
-  // order, so intra-phase reads of that state see a frozen snapshot on
-  // every engine.
+  // `changed_out` (Route) and `active` (Signal, which then fills the
+  // shard's scheduler buffers) select the active-set scheduler's
+  // shard-private change buffers (off under kExhaustive): cells whose
+  // dist changed, whose occupancy or blocked bit flipped, or that must
+  // rerun Signal next round. They are applied to the shared scheduler
+  // state only at the post-phase barrier, in shard order, so intra-phase
+  // reads of that state see a frozen snapshot on every engine.
+  struct ShardScratch;
   void route_cell(std::size_t k, obs::ProtocolCounts* counts,
                   std::vector<std::size_t>* changed_out);
-  void signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
-                   obs::ProtocolCounts* counts,
-                   std::vector<std::size_t>* flip_out);
+  void signal_cell(std::size_t k, ShardScratch& sc,
+                   obs::ProtocolCounts* counts, bool active);
   void move_cell(std::size_t k, std::vector<CellId>& moved_out,
                  std::vector<PendingTransfer>& pending_out,
                  std::vector<Entity>& crossed_scratch,
@@ -454,6 +460,7 @@ class System {
   // `visited*` and push events per cell, and a slot sharing a line with
   // its neighbor's vector headers would ping-pong that line between
   // workers on every cell.
+  using NePrevHist = decltype(obs::ProtocolCounts::ne_prev_sizes);
   struct alignas(64) ShardScratch {
     std::vector<CellId> blocked;           ///< Signal: blocked-grant events
     std::vector<CellId> moved;             ///< Move: cells that moved
@@ -461,6 +468,12 @@ class System {
     std::vector<Entity> crossed;           ///< Move: per-cell crossing batch
     std::vector<std::size_t> changed;      ///< Route: dist-changed cells
     std::vector<std::size_t> flips;        ///< Signal: occupancy flips
+    std::vector<std::size_t> rearm;        ///< Signal: granted or token moved
+    std::vector<std::size_t> blocked_flips;  ///< Signal: blocked_ bit flips
+    /// Signal: |NEPrev| buckets of the blocked_ cells that reran (their
+    /// old bucket) and of the cells that blocked when run (their new one).
+    NePrevHist reran_blocked{};
+    NePrevHist new_blocked{};
     obs::ProtocolCounts counts;            ///< shard-private tallies
     std::uint64_t visited = 0;             ///< Route/Move: cells this shard ran
     std::uint64_t visited_b = 0;           ///< Signal's visit count (separate
@@ -476,6 +489,10 @@ class System {
       crossed.clear();
       changed.clear();
       flips.clear();
+      rearm.clear();
+      blocked_flips.clear();
+      reran_blocked = {};
+      new_blocked = {};
       counts.reset();
       visited = 0;
       visited_b = 0;
@@ -499,13 +516,30 @@ class System {
   }
 
   /// Re-derives every scheduler structure from the current protocol
-  /// state: all cells armed for Route this round, occupancy bits and
-  /// neighborhood refcounts recomputed, dist snapshot synced, and the
-  /// compensation totals recounted.
+  /// state: all cells armed for Route and Signal this round, no cell
+  /// blocked or granted, occupancy bits and neighborhood refcounts
+  /// recomputed, dist snapshot synced, and the compensation totals
+  /// recounted.
   void rebuild_active_sets();
 
   /// Arms `k` and its lattice neighbors to run Route in the coming round.
   void arm_route_neighborhood(std::size_t k);
+
+  /// Arms `k` and its lattice neighbors — every cell whose Signal reads
+  /// k's Members, next or failed flag — to run Signal in the coming round.
+  void arm_signal_neighborhood(std::size_t k);
+
+  /// Round start: the Route-armed cells are the only ones whose `next`
+  /// can change this round, so arm Signal around each of them.
+  void arm_signal_around_route();
+
+  /// Drops k from blocked_ (and its bucket from blocked_hist_) before an
+  /// external mutation rewrites the state that bucket was read from.
+  void forget_blocked(std::size_t k);
+
+  /// Signal merge, kCoupled: if cell k grants a neighbor that routes into
+  /// k, that neighbor moves this round — set its grant_to_ bit.
+  void note_grant(std::size_t k);
 
   /// Toggles occ_b_[k] and propagates ±1 to the closed neighborhood's
   /// refcounts, mirroring each 0↔1 crossing into occ_nbhd_. Callers
@@ -520,9 +554,15 @@ class System {
   /// transfer delivery, seeding, fail/recover/corruption).
   void refresh_occupancy(std::size_t k);
 
+  /// Bookkeeping for a change to cell k's Members made outside the phase
+  /// bodies (transfer departure and delivery, injection, seeding): arms
+  /// k's Signal, and its neighbors' too if k's emptiness — all they read
+  /// of k's Members — differs from `was_empty`; then refreshes occupancy.
+  void note_members_change(std::size_t k, bool was_empty);
+
   /// Bookkeeping shared by fail()/recover()/corrupt_control_state():
-  /// syncs the dist snapshot, re-arms Route around the mutation, and
-  /// refreshes occupancy.
+  /// syncs the dist snapshot, re-arms Route and Signal around the
+  /// mutation, and refreshes occupancy.
   void note_control_mutation(std::size_t k);
 
   /// True iff adding an entity centered at `center` to cell `id` keeps the
@@ -643,8 +683,22 @@ class System {
   std::vector<std::uint64_t> route_armed_;
   std::vector<std::uint8_t> occ_b_;     ///< B(cells_[k]), cached
   std::vector<std::uint8_t> occ_refs_;  ///< # occupied in closed nbhd
-  /// Bit k set iff occ_refs_[k] > 0: cell k runs Signal and Move.
+  /// Bit k set iff occ_refs_[k] > 0: cell k may run Signal and Move.
   std::vector<std::uint64_t> occ_nbhd_;
+  /// Bit k set iff a Signal input of cell k changed since its last run,
+  /// or that run granted (or moved its token): k reruns Signal this round.
+  std::vector<std::uint64_t> signal_armed_;
+  /// Bit k set iff cell k's last Signal run blocked and kept its token.
+  /// Unarmed, its inputs and token are unchanged, so it blocks again:
+  /// Signal replays the event without running it. Always within
+  /// occ_nbhd_ (it holds a token).
+  std::vector<std::uint64_t> blocked_;
+  /// Bit k set iff cell k's destination granted it this round (set by
+  /// the Signal merge, walked and cleared by Move; kCoupled only).
+  std::vector<std::uint64_t> grant_to_;
+  /// blocked_ cells by |NEPrev| bucket: the ne_prev_sizes and
+  /// signal_blocks tallies the replayed (unarmed) ones owe each round.
+  NePrevHist blocked_hist_{};
   // Skipped-cell compensation (kActiveSet with metrics attached): every
   // round the exhaustive loop tallies `live_degree_sum_` Route
   // relaxations (lattice degree of each live non-target cell) and one

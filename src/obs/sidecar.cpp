@@ -55,7 +55,14 @@ std::string row_key(const std::vector<std::string>& header,
     if (!key.empty()) key.push_back('/');
     key += cell_as_key(row[c]);
   }
-  if (key.empty()) key = "#" + std::to_string(index);
+  if (key.empty()) {
+    // reserve + append rather than `"#" + std::to_string(index)`: GCC 12
+    // raises a false -Werror=restrict on that concatenation at -O3.
+    const std::string digits = std::to_string(index);
+    key.reserve(1 + digits.size());
+    key.push_back('#');
+    key.append(digits);
+  }
   return key;
 }
 

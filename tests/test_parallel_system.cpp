@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -457,6 +458,196 @@ TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCells) {
 // the grid: failing either cell arms a neighborhood in both words.
 TEST(ActiveSetScheduler, QuiescentSystemVisitsNoCellsAcrossAWordBoundary) {
   expect_quiescence_around(9, {63, 64});
+}
+
+// --- crowded worlds ------------------------------------------------------
+//
+// Input-driven Signal and grant-driven Move (DESIGN.md §9) matter where
+// every cell is busy: most cells block round after round and are replayed
+// rather than rerun, and only granted cells move. Every cell but the
+// target is seeded the way scenbench's dense_crowd seeds it: six entities
+// on a jittered 3×2 lattice.
+void seed_crowd(System& sys, std::uint64_t seed) {
+  constexpr double kSlotX[3] = {0.15, 0.50, 0.85};
+  constexpr double kSlotY[2] = {0.30, 0.70};
+  constexpr double kJitter = 0.04;
+  Xoshiro256 rng(seed);
+  for (const CellId id : sys.grid().all_cells()) {
+    if (id == sys.target()) continue;
+    for (int e = 0; e < 6; ++e) {
+      const double jx = (rng.uniform01() * 2.0 - 1.0) * kJitter;
+      const double jy = (rng.uniform01() * 2.0 - 1.0) * kJitter;
+      sys.seed_entity(id, Vec2{id.i + kSlotX[e % 3] + jx,
+                               id.j + kSlotY[e / 3] + jy});
+    }
+  }
+}
+
+// The exhaustive serial engine is the reference for the active-set
+// serial engine, the fused pooled engine at 2 and 4 threads, the
+// barriered pooled engine at 4 threads (a no-op phase hook forces it),
+// and an engine restored mid-run from a snapshot of the 2-thread one,
+// which must re-derive every armed, blocked and granted bit from the
+// protocol state. Sides 5, 9, 13 and 17 span one to five bitset words,
+// with mid-word shard ends at 2 and 4 threads. The schedule fails,
+// recovers and corrupts cells; states, events (`blocked` order included)
+// and the Prometheus rendering of a registry attached at round 20 must
+// all match.
+class CrowdedDifferential : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(CrowdedDifferential, BitIdenticalToExhaustive) {
+  const std::uint64_t seed = GetParam().seed;
+  Xoshiro256 rng(seed * 4099 + 17);
+  const auto u = [&rng](int n) {
+    return static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+
+  constexpr std::array<int, 4> kSides = {5, 9, 13, 17};
+  constexpr std::array<const char*, 3> kChoose = {"round-robin", "random",
+                                                  "lowest-id"};
+  const int side = kSides[(seed / 2) % kSides.size()];
+  SystemConfig cfg;
+  cfg.side = side;
+  cfg.params = Params(0.2, 0.05, 0.2);
+  cfg.target = CellId{u(side), u(side)};
+  cfg.sources = {};
+  if (seed % 4 == 1) {
+    const CellId src{u(side), u(side)};
+    if (src != cfg.target) cfg.sources = {src};
+  }
+  cfg.movement_rule =
+      (seed % 2 == 0) ? MovementRule::kCoupled : MovementRule::kCompacting;
+  cfg.signal_rule =
+      (seed % 5 == 0) ? SignalRule::kAlwaysGrant : SignalRule::kBlocking;
+  const char* choose_name = kChoose[seed % kChoose.size()];
+  const auto choose = [&]() { return make_choose_policy(choose_name, seed); };
+
+  // Declared before the engines, which keep pointers into them.
+  obs::MetricsRegistry exhaustive_reg;
+  obs::MetricsRegistry serial_reg;
+  obs::MetricsRegistry fused4_reg;
+  obs::MetricsRegistry barriered4_reg;
+
+  System exhaustive{cfg, choose()};
+  exhaustive.set_parallel_policy(ParallelPolicy::serial());
+  exhaustive.set_round_scheduler(RoundScheduler::kExhaustive);
+
+  const std::vector<std::string> labels = {"active-serial", "fused-2",
+                                           "fused-4", "barriered-4"};
+  std::vector<std::unique_ptr<System>> engines;
+  for (const ParallelPolicy policy :
+       {ParallelPolicy::serial(), ParallelPolicy::parallel(2),
+        ParallelPolicy::parallel(4), ParallelPolicy::parallel(4)}) {
+    engines.push_back(std::make_unique<System>(cfg, choose()));
+    engines.back()->set_parallel_policy(policy);
+    ASSERT_EQ(engines.back()->round_scheduler(), RoundScheduler::kActiveSet);
+  }
+  engines[3]->set_phase_hook([](const System&, UpdatePhase) {});
+  seed_crowd(exhaustive, seed);
+  for (auto& e : engines) seed_crowd(*e, seed);
+
+  constexpr int kRestoreRound = 30;
+  std::unique_ptr<System> restored;
+  const auto everywhere = [&](const auto& mutate) {
+    mutate(exhaustive);
+    for (auto& e : engines) mutate(*e);
+    if (restored) mutate(*restored);
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    if (round == 20) {
+      exhaustive.set_metrics(&exhaustive_reg);
+      engines[0]->set_metrics(&serial_reg);
+      engines[2]->set_metrics(&fused4_reg);
+      engines[3]->set_metrics(&barriered4_reg);
+    }
+    if (round == kRestoreRound) {
+      restored = std::make_unique<System>(cfg, choose());
+      restored->set_parallel_policy(ParallelPolicy::parallel(4));
+      snapshot::restore(*restored, snapshot::save(*engines[1]));
+    }
+    for (const CellId id : exhaustive.grid().all_cells()) {
+      if (exhaustive.cell(id).failed) {
+        if (rng.bernoulli(0.05))
+          everywhere([&](System& s) { s.recover(id); });
+      } else if (rng.bernoulli(0.004)) {
+        everywhere([&](System& s) { s.fail(id); });
+      }
+    }
+    if (rng.bernoulli(0.08)) {
+      const CellId id{u(side), u(side)};
+      const auto random_id = [&]() -> OptCellId {
+        if (rng.bernoulli(0.3)) return std::nullopt;
+        return CellId{u(side), u(side)};
+      };
+      const Dist dist = rng.bernoulli(0.3) ? Dist::infinity()
+                                           : Dist::finite(rng.below(50));
+      const OptCellId next = random_id();
+      const OptCellId token = random_id();
+      const OptCellId signal = random_id();
+      everywhere([&](System& s) {
+        s.corrupt_control_state(id, dist, next, token, signal);
+      });
+    }
+
+    const RoundEvents ref_events = exhaustive.update();
+    for (std::size_t k = 0; k < engines.size(); ++k) {
+      const RoundEvents& ev = engines[k]->update();
+      expect_bit_identical(exhaustive, *engines[k], round, labels[k]);
+      expect_identical_events(ref_events, ev, round, labels[k]);
+    }
+    if (restored) {
+      const RoundEvents& ev = restored->update();
+      expect_bit_identical(exhaustive, *restored, round, "restored");
+      expect_identical_events(ref_events, ev, round, "restored");
+    }
+    if (cfg.signal_rule == SignalRule::kBlocking) {
+      const auto violations = check_all(*engines[0]);
+      ASSERT_TRUE(violations.empty())
+          << "round " << round << ": " << to_string(violations.front());
+    }
+  }
+
+  const std::string reference = obs::to_prometheus(exhaustive_reg);
+  EXPECT_NE(reference.find("cellflow_signal_blocks_total"), std::string::npos);
+  EXPECT_EQ(obs::to_prometheus(serial_reg), reference) << "active-serial";
+  EXPECT_EQ(obs::to_prometheus(fused4_reg), reference) << "fused-4";
+  EXPECT_EQ(obs::to_prometheus(barriered4_reg), reference) << "barriered-4";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrowdedDifferential,
+                         ::testing::ValuesIn(scenarios()));
+
+// The point of input-driven Signal: in a settled jam almost every cell
+// blocks round after round on unchanged inputs, so Signal reruns only
+// around the few cells that move (the rest are replayed), and under
+// kCoupled Move visits exactly the cells that move.
+TEST(ActiveSetScheduler, SettledJamRerunsFewSignalCells) {
+  constexpr int kSide = 17;
+  SystemConfig cfg;
+  cfg.side = kSide;
+  cfg.params = Params(0.2, 0.05, 0.2);
+  cfg.target = CellId{kSide / 2, kSide / 2};
+  cfg.sources = {};
+  System sys{cfg};
+  sys.set_parallel_policy(ParallelPolicy::serial());
+  seed_crowd(sys, 1);
+
+  // Routing settles within 2·side rounds of the start.
+  for (int round = 0; round < 2 * kSide; ++round) sys.update();
+  const auto n = static_cast<std::uint64_t>(kSide * kSide);
+  std::uint64_t moved = 0;
+  for (int round = 0; round < 40; ++round) {
+    const RoundEvents& ev = sys.update();
+    const System::SchedulerStats& stats = sys.last_scheduler_stats();
+    EXPECT_EQ(stats.route_cells, 0u) << "round " << round;
+    EXPECT_LT(stats.signal_cells * 10, n)
+        << "round " << round << ": " << stats.signal_cells << " cells";
+    EXPECT_GT(ev.blocked.size() * 2, n) << "round " << round;
+    EXPECT_EQ(stats.move_cells, ev.moved.size()) << "round " << round;
+    moved += ev.moved.size();
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 // Regression for the latent-nondeterminism fix: canonical_transfer_order
